@@ -5,8 +5,8 @@ from .syntax import (AsyncSyntaxError, Program, ProcDecl, lookup,
                      pretty_program)
 from .trace import (CallTree, ChopMismatch, Event, MalformedTrace, NoScope,
                     State, Trace, call_tree, chop, curr_scope, event_triple,
-                    matches_schematic, max_call_id, schedule, singleton,
-                    trace_from_json, trace_to_json)
+                    max_call_id, schedule, singleton, trace_from_json,
+                    trace_to_json)
 from .interp import (BoundExceeded, Configuration, TooManyTraces,
                      check_file_correct, enumerate_traces, eval_global,
                      eval_local, eval_local_big, initial_configuration,

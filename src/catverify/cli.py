@@ -361,6 +361,9 @@ def main(argv=None) -> int:
             BoundExceeded, TooManyTraces, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return ERROR
 
 
 if __name__ == "__main__":

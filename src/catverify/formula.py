@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .trace import Event, State, Trace
+from .trace import FILE_TAGS, Event, State, Trace
 
 
 class FormulaError(Exception):
@@ -130,16 +130,19 @@ def pred_holds(expr, obs_env, consts) -> bool:
     return eval_lexpr(expr, obs_env, consts) is True
 
 
-# --- event patterns (for exclusion lists) --------------------------------
+# --- event shapes ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class EventPattern:
-    """Logic-level event shape used in exclusion lists.
+class EventF:
+    """Event shape: an event atom, and an entry of a ``~[...]`` exclusion.
 
-    ``start`` excludes both the call and the push of the scope; the other
-    tags map one-to-one onto trace events. Wildcard fields match anything.
+    User-facing tags are start/ret/pop/open/close/read/write; the trace-level
+    tags call/invoc/push occur in verifier-built formulas. ``start`` stands
+    for both the call and the push of the scope; the other tags map one-to-one
+    onto trace events. The id constrains scope events and ``ret``, the payload
+    file events; a field that is None or WILDCARD matches anything.
     """
-    tag: str  # start | ret | pop | open | close | read | write | call | invoc | push
+    tag: str
     name: object = None      # str or WILDCARD
     id: object = None        # term or WILDCARD
     payload: object = None   # term or WILDCARD
@@ -149,22 +152,31 @@ class EventPattern:
             return ("call", "push")
         return (self.tag,)
 
+    @property
+    def term(self):
+        """The term the event's file (file tags) or id (other tags) must equal."""
+        return self.payload if self.tag in FILE_TAGS else self.id
+
+    def value(self, obs_env, consts):
+        """The value of ``term`` under the environment, or WILDCARD."""
+        t = self.term
+        if t is None or t is WILDCARD:
+            return WILDCARD
+        return eval_term(t, obs_env, consts)
+
+    def fits(self, ev: Event) -> bool:
+        """Whether the event's tag and name agree with the shape."""
+        return ev.tag in self.trace_tags() and (
+            self.name is None or self.name is WILDCARD or ev.name == self.name)
+
+    def has_value(self, ev: Event, value) -> bool:
+        """Whether the event's file or id is ``value`` (WILDCARD: any)."""
+        return value is WILDCARD or value == (
+            ev.file if ev.tag in FILE_TAGS else ev.id)
+
     def matches(self, ev: Event, obs_env, consts) -> bool:
-        if ev.tag not in self.trace_tags():
-            return False
-        if self.tag in ("start", "pop", "call", "invoc", "push"):
-            if self.name is not None and self.name is not WILDCARD \
-                    and ev.name != self.name:
-                return False
-        if self.tag in ("start", "ret", "pop", "call", "invoc", "push"):
-            if self.id is not None and self.id is not WILDCARD:
-                if ev.id != eval_term(self.id, obs_env, consts):
-                    return False
-        if self.tag in ("open", "close", "read", "write"):
-            if self.payload is not None and self.payload is not WILDCARD:
-                if ev.file != eval_term(self.payload, obs_env, consts):
-                    return False
-        return True
+        # the term is evaluated only for an event whose tag and name agree
+        return self.fits(ev) and self.has_value(ev, self.value(obs_env, consts))
 
     def __repr__(self):
         if self.tag in ("start", "pop", "call", "invoc", "push"):
@@ -206,23 +218,6 @@ class RecVar:
 
     def __repr__(self):
         return self.name
-
-
-@dataclass(frozen=True)
-class EventF:
-    """Event formula. User-facing tags: start/ret/pop/open/close/read/write;
-    the trace-level tags call/invoc/push occur in verifier-built formulas."""
-    tag: str
-    name: object = None
-    id: object = None
-    payload: object = None
-
-    def __repr__(self):
-        if self.tag in ("start", "pop", "call", "invoc", "push"):
-            return f"{self.tag}({self.name},{self.id!r})"
-        if self.tag == "ret":
-            return f"ret({self.id!r})"
-        return f"{self.tag}({self.payload!r})"
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,7 @@ class NoEv:
     With an empty exclusion set this is the unconstrained segment; with
     ALL_EVENTS it admits only event-free runs of states.
     """
-    excluded: object = frozenset()  # frozenset[EventPattern] or ALL_EVENTS
+    excluded: object = frozenset()  # frozenset[EventF] or ALL_EVENTS
 
     def __repr__(self):
         if self.excluded is ALL_EVENTS:
@@ -326,20 +321,20 @@ ANY = NoEv(frozenset())
 STATES_ONLY = NoEv(ALL_EVENTS)
 
 
-def event_formula(tag, name=None, ident=None, payload=None) -> EventF:
-    if tag in ("start", "pop", "call", "invoc", "push"):
-        return EventF(tag, name=name, id=ident)
-    if tag == "ret":
-        return EventF(tag, id=ident)
-    if tag in ("open", "close", "read", "write"):
-        return EventF(tag, payload=payload)
-    raise ValueError(f"unknown event tag {tag!r}")
-
-
 def noev_mu_encoding(excluded) -> Mu:
     """The least-fixed-point definition of the no-event segment."""
     item = NoEvItem(excluded)
     return Mu("X", Or(item, Concat(item, RecVar("X"))))
+
+
+def event_shapes(phi):
+    """The event shapes an atom mentions: an event atom itself, or the
+    entries of a no-event segment's exclusion set."""
+    if isinstance(phi, EventF):
+        return (phi,)
+    if isinstance(phi, (NoEv, NoEvItem)) and phi.excluded is not ALL_EVENTS:
+        return phi.excluded
+    return ()
 
 
 # --- free variables -------------------------------------------------------
@@ -347,11 +342,12 @@ def noev_mu_encoding(excluded) -> Mu:
 def free_lvars(phi) -> frozenset:
     if isinstance(phi, Pred):
         return _lexpr_vars(phi.expr)
-    if isinstance(phi, EventF):
+    if isinstance(phi, (EventF, NoEv, NoEvItem)):
         out = set()
-        for t in (phi.id, phi.payload):
-            if isinstance(t, TVar):
-                out.add(t.name)
+        for p in event_shapes(phi):
+            for t in (p.id, p.payload):
+                if isinstance(t, TVar):
+                    out.add(t.name)
         return frozenset(out)
     if isinstance(phi, (And, Or, Concat, Chop)):
         return free_lvars(phi.lhs) | free_lvars(phi.rhs)
@@ -359,15 +355,6 @@ def free_lvars(phi) -> frozenset:
         return free_lvars(phi.body)
     if isinstance(phi, Obs):
         return free_lvars(phi.body) - {phi.lvar}
-    if isinstance(phi, (NoEv, NoEvItem)):
-        if phi.excluded is ALL_EVENTS:
-            return frozenset()
-        out = set()
-        for p in phi.excluded:
-            for t in (p.id, p.payload):
-                if isinstance(t, TVar):
-                    out.add(t.name)
-        return frozenset(out)
     return frozenset()
 
 
@@ -408,21 +395,15 @@ def constants_in(phi) -> frozenset:
     def walk(phi):
         if isinstance(phi, Pred):
             walk_term(phi.expr)
-        elif isinstance(phi, EventF):
-            for t in (phi.id, phi.payload):
-                if t is not None and t is not WILDCARD:
-                    walk_term(t)
         elif isinstance(phi, (And, Or, Concat, Chop)):
             walk(phi.lhs)
             walk(phi.rhs)
         elif isinstance(phi, (Mu, Obs)):
             walk(phi.body)
-        elif isinstance(phi, (NoEv, NoEvItem)):
-            if phi.excluded is not ALL_EVENTS:
-                for p in phi.excluded:
-                    for t in (p.id, p.payload):
-                        if t is not None and t is not WILDCARD:
-                            walk_term(t)
+        else:
+            for p in event_shapes(phi):
+                walk_term(p.id)
+                walk_term(p.payload)
 
     walk(phi)
     return frozenset(out)
@@ -560,70 +541,28 @@ class _Denoter:
         return frozenset(out)
 
     def _event_intervals(self, phi: EventF, obs_env) -> frozenset:
-        items, n = self.items, self.n
+        items = self.items
+        value = phi.value(obs_env, self.consts)
+        hits = {}  # first position of each event triple the shape matches
+        for a in range(self.n - 2):
+            ev = items[a + 1]
+            if (isinstance(ev, Event) and phi.fits(ev) and phi.has_value(ev, value)
+                    and isinstance(items[a], State) and items[a] == items[a + 2]):
+                hits[a] = ev
+        if phi.tag != "start":
+            return frozenset((a, a + 2) for a in hits)
+        # an activation push (asynchronous scheduling), or a call chopped
+        # with the push of the same scope (synchronous activation)
         out = set()
-
-        def term_value(t):
-            if t is None or t is WILDCARD:
-                return WILDCARD
-            return eval_term(t, obs_env, self.consts)
-
-        if phi.tag == "start":
-            ident = term_value(phi.id)
-            name = phi.name if phi.name is not WILDCARD else WILDCARD
-            # activation push triple (asynchronous scheduling)
-            for a in range(n - 2):
-                ev = items[a + 1]
-                if (isinstance(items[a], State) and isinstance(ev, Event)
-                        and isinstance(items[a + 2], State)
-                        and items[a] == items[a + 2] and ev.tag == "push"
-                        and (name is WILDCARD or ev.name == name)
-                        and (ident is WILDCARD or ev.id == ident)):
-                    out.add((a, a + 2))
-            # call ** push shape (synchronous activation)
-            for a in range(n - 4):
-                ev1, ev2 = items[a + 1], items[a + 3]
-                if not (isinstance(ev1, Event) and isinstance(ev2, Event)):
-                    continue
-                if not (isinstance(items[a], State) and isinstance(items[a + 2], State)
-                        and isinstance(items[a + 4], State)):
-                    continue
-                if not (items[a] == items[a + 2] == items[a + 4]):
-                    continue
-                if ev1.tag == "call" and ev2.tag == "push" \
-                        and ev1.scope() == ev2.scope() \
-                        and (name is WILDCARD or ev1.name == name) \
-                        and (ident is WILDCARD or ev1.id == ident):
+        for a, ev in hits.items():
+            if ev.tag == "push":
+                out.add((a, a + 2))
+            else:
+                nxt = hits.get(a + 2)
+                if nxt is not None and nxt.tag == "push" \
+                        and nxt.scope() == ev.scope():
                     out.add((a, a + 4))
-            return frozenset(out)
-
-        if phi.tag in ("ret", "pop", "call", "invoc", "push"):
-            ident = term_value(phi.id)
-            name = phi.name if phi.name is not WILDCARD else WILDCARD
-            for a in range(n - 2):
-                ev = items[a + 1]
-                if (isinstance(items[a], State) and isinstance(ev, Event)
-                        and isinstance(items[a + 2], State)
-                        and items[a] == items[a + 2] and ev.tag == phi.tag
-                        and (ident is WILDCARD or ev.id == ident)):
-                    if phi.tag != "ret" and name is not WILDCARD \
-                            and name is not None and ev.name != name:
-                        continue
-                    out.add((a, a + 2))
-            return frozenset(out)
-
-        if phi.tag in ("open", "close", "read", "write"):
-            value = term_value(phi.payload)
-            for a in range(n - 2):
-                ev = items[a + 1]
-                if (isinstance(items[a], State) and isinstance(ev, Event)
-                        and isinstance(items[a + 2], State)
-                        and items[a] == items[a + 2] and ev.tag == phi.tag
-                        and (value is WILDCARD or ev.file == value)):
-                    out.add((a, a + 2))
-            return frozenset(out)
-
-        raise ValueError(f"unknown event tag {phi.tag!r}")
+        return frozenset(out)
 
 
 def denotation(trace: Trace, phi, obs_env=None, consts=None) -> frozenset:
@@ -661,11 +600,8 @@ def subst_terms(phi, mapping):
             return LNot(sub_term(t.arg, m))
         return t
 
-    def sub_pattern(p, m):
-        ident = p.id if p.id is None or p.id is WILDCARD else sub_term(p.id, m)
-        payload = (p.payload if p.payload is None or p.payload is WILDCARD
-                   else sub_term(p.payload, m))
-        return EventPattern(p.tag, p.name, ident, payload)
+    def sub_event(p, m):
+        return EventF(p.tag, p.name, sub_term(p.id, m), sub_term(p.payload, m))
 
     def walk(phi, m):
         if not m:
@@ -673,10 +609,7 @@ def subst_terms(phi, mapping):
         if isinstance(phi, Pred):
             return Pred(sub_term(phi.expr, m))
         if isinstance(phi, EventF):
-            ident = phi.id if phi.id is None or phi.id is WILDCARD else sub_term(phi.id, m)
-            payload = (phi.payload if phi.payload is None or phi.payload is WILDCARD
-                       else sub_term(phi.payload, m))
-            return EventF(phi.tag, phi.name, ident, payload)
+            return sub_event(phi, m)
         if isinstance(phi, And):
             return And(walk(phi.lhs, m), walk(phi.rhs, m))
         if isinstance(phi, Or):
@@ -690,14 +623,8 @@ def subst_terms(phi, mapping):
         if isinstance(phi, Obs):
             inner = {k: v for k, v in m.items() if k != phi.lvar}
             return Obs(phi.pvar, phi.lvar, walk(phi.body, inner))
-        if isinstance(phi, NoEv):
-            if phi.excluded is ALL_EVENTS:
-                return phi
-            return NoEv(frozenset(sub_pattern(p, m) for p in phi.excluded))
-        if isinstance(phi, NoEvItem):
-            if phi.excluded is ALL_EVENTS:
-                return phi
-            return NoEvItem(frozenset(sub_pattern(p, m) for p in phi.excluded))
+        if isinstance(phi, (NoEv, NoEvItem)) and phi.excluded is not ALL_EVENTS:
+            return type(phi)(frozenset(sub_event(p, m) for p in phi.excluded))
         return phi
 
     return walk(phi, dict(mapping))
@@ -807,12 +734,6 @@ def normalize(phi) -> Formula:
     return phi
 
 
-# --- pretty printing ------------------------------------------------------
-
-def pretty_formula(phi) -> str:
-    return repr(phi)
-
-
 # --- bounded language inclusion -------------------------------------------
 
 @dataclass(frozen=True)
@@ -829,7 +750,7 @@ class Included:
 def _collect_alphabet(phis):
     """Ground value pools and event shapes mentioned by the formulas."""
     strings, ints, names, id_lits = set(), set(), set(), set()
-    events = []          # (tag, name, id_term, payload_term)
+    events = []          # EventF shapes
     pvars = set()
     consts = set()
     ungrounded = []
@@ -855,24 +776,6 @@ def _collect_alphabet(phis):
     def walk(phi, bound):
         if isinstance(phi, Pred):
             walk_term(phi.expr, "pred")
-        elif isinstance(phi, EventF):
-            if isinstance(phi.name, str):
-                names.add(phi.name)
-            if phi.id is not None and phi.id is not WILDCARD:
-                if isinstance(phi.id, TLit):
-                    id_lits.add(phi.id.value)
-                elif isinstance(phi.id, TConst):
-                    consts.add((phi.id.name, "id"))
-                elif isinstance(phi.id, TVar) and phi.id.name not in bound:
-                    ungrounded.append(phi.id.name)
-            if phi.payload is not None and phi.payload is not WILDCARD:
-                if isinstance(phi.payload, TLit):
-                    strings.add(phi.payload.value)
-                elif isinstance(phi.payload, TConst):
-                    consts.add((phi.payload.name, "file"))
-                elif isinstance(phi.payload, TVar) and phi.payload.name not in bound:
-                    ungrounded.append(phi.payload.name)
-            events.append(phi)
         elif isinstance(phi, (And, Or, Concat, Chop)):
             walk(phi.lhs, bound)
             walk(phi.rhs, bound)
@@ -881,23 +784,21 @@ def _collect_alphabet(phis):
         elif isinstance(phi, Obs):
             pvars.add(phi.pvar)
             walk(phi.body, bound | {phi.lvar})
-        elif isinstance(phi, (NoEv, NoEvItem)):
-            if phi.excluded is not ALL_EVENTS:
-                for p in phi.excluded:
-                    if isinstance(p.name, str):
-                        names.add(p.name)
-                    for t, ctx in ((p.id, "id"), (p.payload, "file")):
-                        if t is not None and t is not WILDCARD:
-                            if isinstance(t, TLit):
-                                if isinstance(t.value, str):
-                                    strings.add(t.value)
-                                elif not isinstance(t.value, bool):
-                                    id_lits.add(t.value)
-                            elif isinstance(t, TConst):
-                                consts.add((t.name, ctx))
-                            elif isinstance(t, TVar) and t.name not in bound:
-                                ungrounded.append(t.name)
-                    events.append(EventF(p.tag, p.name, p.id, p.payload))
+        else:
+            for p in event_shapes(phi):
+                if isinstance(p.name, str):
+                    names.add(p.name)
+                for t, ctx in ((p.id, "id"), (p.payload, "file")):
+                    if isinstance(t, TLit):
+                        if isinstance(t.value, str):
+                            strings.add(t.value)
+                        elif not isinstance(t.value, bool):
+                            id_lits.add(t.value)
+                    elif isinstance(t, TConst):
+                        consts.add((t.name, ctx))
+                    elif isinstance(t, TVar) and t.name not in bound:
+                        ungrounded.append(t.name)
+                events.append(p)
 
     for phi in phis:
         walk(phi, frozenset())
@@ -951,7 +852,7 @@ def included(phi1, phi2, bound: int = 6, max_valuations: int = 16) -> Included:
         # ground event alphabet under this valuation
         events = set()
         for ef in info["events"]:
-            for tag in (("call", "push") if ef.tag == "start" else (ef.tag,)):
+            for tag in ef.trace_tags():
                 name = ef.name if isinstance(ef.name, str) else None
                 idval = None
                 if ef.id is not None and ef.id is not WILDCARD:

@@ -13,7 +13,7 @@ import random
 
 from . import formula as fm
 from .contracts import ContractDecl
-from .formula import EventPattern, NoEv, Pred, TLit, TRUE
+from .formula import EventF, NoEv, Pred, TLit, TRUE
 from .syntax import (Assign, AsyncCall, BinOp, FileOp, If, Lit, Program,
                      ProcDecl, Return, Skip, SyncCall, Var, seq,
                      validate_program)
@@ -120,8 +120,8 @@ def moderate_contract(name: str, body) -> ContractDecl:
     pre = ANY
     for f in needed:
         pre = fm.Chop(pre, fm.Chop(
-            fm.EventF("open", payload=TLit(f)),
-            NoEv(frozenset([EventPattern("close", payload=TLit(f))]))))
+            EventF("open", payload=TLit(f)),
+            NoEv(frozenset([EventF("close", payload=TLit(f))]))))
     return ContractDecl(name=name, pre_body=pre, pre_binders=(), pre_pred=TRUE,
                         internal_body=ANY, post_binders=(), post_pred=TRUE,
                         post_body=ANY)
@@ -218,10 +218,10 @@ def gen_formula(rng: random.Random, depth: int = 3):
         if r < 0.5:
             return NoEv(frozenset())
         if r < 0.7:
-            return NoEv(frozenset([EventPattern("open", payload=TLit("fa"))]))
+            return NoEv(frozenset([EventF("open", payload=TLit("fa"))]))
         if r < 0.85:
-            return fm.EventF("open", payload=TLit("fa"))
-        return fm.EventF("close", payload=TLit("fa"))
+            return EventF("open", payload=TLit("fa"))
+        return EventF("close", payload=TLit("fa"))
     r = rng.random()
     if r < 0.25:
         return fm.Chop(gen_formula(rng, depth - 1), gen_formula(rng, depth - 1))

@@ -333,10 +333,10 @@ def _parse_term(ts):
                 ts.next()
                 ts.expect("]")
                 return fm.NoEv(fm.ALL_EVENTS)
-            pats = [_parse_event_pattern(ts)]
+            pats = [_parse_event(ts)]
             while ts.at(","):
                 ts.next()
-                pats.append(_parse_event_pattern(ts))
+                pats.append(_parse_event(ts))
             ts.expect("]")
             return fm.NoEv(frozenset(pats))
         return fm.NoEv(frozenset())
@@ -361,7 +361,7 @@ def _parse_term(ts):
         ts.expect(".")
         return fm.Obs(pvar, lvar, _parse_or_formula(ts))
     if t.text in _EVENT_NAMES:
-        return _parse_event_formula(ts)
+        return _parse_event(ts)
     if t.text == "(":
         ts.next()
         phi = _parse_or_formula(ts)
@@ -372,17 +372,7 @@ def _parse_term(ts):
     raise ts.error(f"expected trace formula, found {t.text!r}")
 
 
-def _parse_event_formula(ts):
-    tag, name, ident, payload = _parse_event_parts(ts)
-    return fm.event_formula(tag, name, ident, payload)
-
-
-def _parse_event_pattern(ts):
-    tag, name, ident, payload = _parse_event_parts(ts)
-    return fm.EventPattern(tag, name, ident, payload)
-
-
-def _parse_event_parts(ts):
+def _parse_event(ts):
     t = ts.next()
     tag = t.text
     ts.expect("(")
@@ -398,7 +388,7 @@ def _parse_event_parts(ts):
     else:  # file events
         payload = _parse_payload_term(ts)
     ts.expect(")")
-    return tag, name, ident, payload
+    return fm.EventF(tag, name, ident, payload)
 
 
 def _parse_name_or_wild(ts):

@@ -104,28 +104,12 @@ class Event:
         return f"{self.tag}({self.file!r})"
 
 
-def call_ev(name, id):
-    return Event("call", name=name, id=id)
-
-
-def invoc_ev(name, id):
-    return Event("invoc", name=name, id=id)
-
-
-def ret_ev(id):
-    return Event("ret", id=id)
-
-
 def push_ev(name, id):
     return Event("push", name=name, id=id)
 
 
 def pop_ev(name, id):
     return Event("pop", name=name, id=id)
-
-
-def file_ev(tag, file):
-    return Event(tag, file=file)
 
 
 # --- traces ------------------------------------------------------------
@@ -192,10 +176,6 @@ def chop(t1: Trace, t2: Trace) -> Trace:
     if t1.last() != t2.first():
         raise ChopMismatch(f"boundary states differ: {t1.last()!r} vs {t2.first()!r}")
     return Trace(t1.items + t2.items[1:])
-
-
-def concat(t1: Trace, t2: Trace) -> Trace:
-    return Trace(t1.items + t2.items)
 
 
 def event_triple(state: State, tag: str, payload=None) -> Trace:
@@ -278,16 +258,6 @@ def max_call_id(trace: Trace) -> int:
     return best
 
 
-def has_event(trace: Trace, tag, id=None, after=None) -> bool:
-    for i, item in enumerate(trace):
-        if after is not None and i <= after:
-            continue
-        if isinstance(item, Event) and item.tag == tag:
-            if id is None or item.id == id:
-                return True
-    return False
-
-
 def ends_with_event(trace: Trace, tag) -> Optional[Event]:
     """The trailing event of the trace (2nd to last item), if its tag matches."""
     if len(trace) >= 2 and isinstance(trace[-2], Event) and trace[-2].tag == tag:
@@ -368,93 +338,6 @@ def schedule(trace: Trace) -> frozenset:
         return frozenset()
     tree = call_tree(trace)
     return frozenset(set(tree.children(scope)) & set(tree.idle))
-
-
-# --- schematic trace patterns -------------------------------------------
-
-@dataclass(frozen=True)
-class EvPattern:
-    """Concrete or wildcard event shape; None fields match anything."""
-    tag: str
-    name: Optional[str] = None
-    id: Optional[int] = None
-    file: Optional[str] = None
-
-    def matches(self, ev: Event) -> bool:
-        if ev.tag != self.tag:
-            return False
-        if self.name is not None and ev.name != self.name:
-            return False
-        if self.id is not None and ev.id != self.id:
-            return False
-        if self.file is not None and ev.file != self.file:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
-class AnySeg:
-    """A non-empty trace segment without events matching the excluded shapes."""
-    excluded: tuple = ()
-
-    def admits(self, item) -> bool:
-        if isinstance(item, Event):
-            return not any(p.matches(item) for p in self.excluded)
-        return True
-
-
-@dataclass(frozen=True)
-class EventSeg:
-    """An event triple segment: state, matching event, equal state."""
-    pattern: EvPattern
-
-
-def matches_schematic(trace: Trace, pattern: list) -> bool:
-    """Whether the trace decomposes as the chop of the pattern's segments.
-
-    Segments are AnySeg (flexible, non-empty) and EventSeg (a 3-item event
-    triple); adjacent segments share exactly one boundary state.
-    """
-    items = trace.items
-    n = len(items)
-    if n == 0:
-        return False
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def match(i, seg_idx):
-        # segment seg_idx must cover items[i..j] for some j, sharing item j
-        # with the next segment; the final segment must end at n-1.
-        seg = pattern[seg_idx]
-        last_seg = seg_idx == len(pattern) - 1
-        if isinstance(seg, EventSeg):
-            j = i + 2
-            if j >= n:
-                return False
-            if not (isinstance(items[i], State) and isinstance(items[j], State)
-                    and isinstance(items[i + 1], Event)
-                    and items[i] == items[j]
-                    and seg.pattern.matches(items[i + 1])):
-                return False
-            return j == n - 1 if last_seg else match(j, seg_idx + 1)
-        # AnySeg: try every admissible end position j >= i
-        j = i
-        while j < n:
-            if not seg.admits(items[j]):
-                return False if j == i else False  # segment cannot pass item j
-            if last_seg:
-                if j == n - 1:
-                    return True
-            else:
-                if isinstance(items[j], State) and match(j, seg_idx + 1):
-                    return True
-            j += 1
-        return False
-
-    if not pattern:
-        return False
-    return match(0, 0)
 
 
 # --- JSON serialization --------------------------------------------------

@@ -27,16 +27,15 @@ from typing import Optional
 
 from . import formula as fm
 from .contracts import ContractDecl
-from .formula import (ALL_EVENTS, And, Chop, EventF, EventPattern, Formula,
-                      NoEv, Pred, TConst, TLit, TRUE, WILDCARD, chop_chain,
-                      chop_of, included, member, normalize, strip_obs,
-                      subst_terms)
+from .formula import (ALL_EVENTS, And, Chop, EventF, Formula, NoEv, Pred,
+                      TConst, TLit, TRUE, WILDCARD, chop_chain, chop_of,
+                      included, member, normalize, strip_obs, subst_terms)
 from .interp import BoundExceeded, Configuration, _explore
 from .syntax import (Assign, AsyncCall, BinOp, Expr, FileOp, If, Lit, Not,
                      Program, Return, Skip, Stmt, SyncCall, Var, lookup, seq,
                      seq_items)
-from .trace import (Event, State, Trace, chop, event_trace, event_triple,
-                    push_ev, singleton)
+from .trace import (FILE_TAGS, Event, State, Trace, chop, event_trace,
+                    event_triple, push_ev, singleton)
 
 
 class VerifierError(Exception):
@@ -390,10 +389,9 @@ def _pattern_excludes_atom(excluded, atom) -> Optional[bool]:
     if isinstance(atom, EventF):
         if excluded is ALL_EVENTS:
             return False
-        probe = _atom_as_event(atom)
-        if probe is None:
+        if _ground_term(atom.term) is None:
             return None
-        return not any(_pattern_matches_ground(p, probe) for p in excluded)
+        return not any(_may_match(p, atom) for p in excluded)
     if isinstance(atom, NoEv):
         if excluded is ALL_EVENTS:
             return atom.excluded is ALL_EVENTS
@@ -417,65 +415,45 @@ def _pattern_excludes_atom(excluded, atom) -> Optional[bool]:
     return None
 
 
-def _atom_as_event(atom: EventF):
-    """Ground (tag, name, id, payload) view of an event atom, or None."""
-    def ground(t):
-        if t is None:
-            return None
-        if t is WILDCARD:
-            return WILDCARD
-        if isinstance(t, TLit):
-            return t.value
-        if isinstance(t, TConst):
-            return ("const", t.name)
-        return None  # logic variable: not ground
-
-    ident = ground(atom.id)
-    payload = ground(atom.payload)
-    if (atom.id is not None and ident is None) or \
-            (atom.payload is not None and payload is None):
-        return None
-    return (atom.tag, atom.name, ident, payload)
+def _witness_value(const_name: str) -> str:
+    """The value a payload constant takes in witness traces and sampled
+    valuations; witness events match a valuation only by this identity."""
+    return f"~{const_name}~"
 
 
-def _pattern_matches_ground(p: EventPattern, probe) -> bool:
-    tag, name, ident, payload = probe
-    tags = ("call", "push") if p.tag == "start" else (p.tag,)
-    probe_tags = ("call", "push") if tag == "start" else (tag,)
-    if not set(tags) & set(probe_tags):
+def _ground_term(t):
+    """Ground view of an event term: WILDCARD when absent or a wildcard, a
+    literal's value, a constant's witness value; None when not ground."""
+    if t is None or t is WILDCARD:
+        return WILDCARD
+    if isinstance(t, TLit):
+        return t.value
+    if isinstance(t, TConst):
+        return _witness_value(t.name)
+    return None
+
+
+def _witness_view(p: EventF):
+    """The value an event needs to have shape p in witness matching; a term
+    that is not ground (a logic variable) may take any value."""
+    value = _ground_term(p.term)
+    return WILDCARD if value is None else value
+
+
+def _may_match(p: EventF, q: EventF) -> bool:
+    """Whether an event of the ground shape q may also have shape p."""
+    if not set(p.trace_tags()) & set(q.trace_tags()):
         return False
-    if p.name not in (None, WILDCARD) and name not in (None, WILDCARD) \
-            and p.name != name:
+    if p.name not in (None, WILDCARD) and q.name not in (None, WILDCARD) \
+            and p.name != q.name:
         return False
-
-    def term_view(t):
-        if t is None or t is WILDCARD:
-            return WILDCARD
-        if isinstance(t, TLit):
-            return t.value
-        if isinstance(t, TConst):
-            return ("const", t.name)
-        return WILDCARD  # unknown term: assume it may collide
-
-    def canon(v):
-        # constants and their canonical sampled encoding are the same value
-        if isinstance(v, tuple) and len(v) == 2 and v[0] == "const":
-            return f"~{v[1]}~"
-        return v
-
-    for mine, theirs in ((term_view(p.id), ident), (term_view(p.payload), payload)):
-        if mine is WILDCARD or theirs is WILDCARD or theirs is None:
-            continue
-        if canon(mine) != canon(theirs):
-            return False
-    return True
+    mine, theirs = _witness_view(p), _witness_view(q)
+    return mine is WILDCARD or theirs is WILDCARD or mine == theirs
 
 
-def _pattern_covers(q: EventPattern, p: EventPattern) -> bool:
+def _pattern_covers(q: EventF, p: EventF) -> bool:
     """Every event matched by p is matched by q (so excluding q excludes p)."""
-    p_tags = set(("call", "push") if p.tag == "start" else (p.tag,))
-    q_tags = set(("call", "push") if q.tag == "start" else (q.tag,))
-    if not p_tags <= q_tags:
+    if not set(p.trace_tags()) <= set(q.trace_tags()):
         return False
 
     def covers_field(qf, pf):
@@ -603,45 +581,22 @@ def _witness_events(chains) -> list:
 
 
 def _atom_event_shapes(atom) -> list:
-    out = []
-    if isinstance(atom, EventF):
-        ground = _atom_as_event(atom)
-        if ground is not None:
-            out.extend(_ground_to_events(ground))
-    elif isinstance(atom, NoEv) and atom.excluded is not ALL_EVENTS:
-        for p in atom.excluded:
-            ground = _atom_as_event(EventF(p.tag, p.name, p.id, p.payload))
-            if ground is not None:
-                out.extend(_ground_to_events(ground))
-    elif isinstance(atom, And):
-        out.extend(_atom_event_shapes(atom.lhs))
-        out.extend(_atom_event_shapes(atom.rhs))
-    return out
+    if isinstance(atom, And):
+        return _atom_event_shapes(atom.lhs) + _atom_event_shapes(atom.rhs)
+    return [ev for p in fm.event_shapes(atom)
+            if _ground_term(p.term) is not None for ev in _shape_events(p)]
 
 
-def _ground_to_events(ground) -> list:
-    tag, name, ident, payload = ground
-
-    def val(x, default):
-        if x is WILDCARD or x is None:
-            return default
-        if isinstance(x, tuple) and x[0] == "const":
-            return f"~{x[1]}~"
-        return x
-
-    if tag == "start":
-        i = val(ident, 0)
-        i = i if isinstance(i, int) else 0
-        return [Event("call", name=val(name, "m"), id=i),
-                Event("push", name=val(name, "m"), id=i)]
-    if tag in ("call", "invoc", "push", "pop"):
-        i = val(ident, 0)
-        i = i if isinstance(i, int) else 0
-        return [Event(tag, name=val(name, "m"), id=i)]
-    if tag == "ret":
-        i = val(ident, 0)
-        return [Event("ret", id=i if isinstance(i, int) else 0)]
-    return [Event(tag, file=str(val(payload, "~f~")))]
+def _shape_events(p: EventF) -> list:
+    """Witness events of a ground shape; wildcards take default values."""
+    value = _ground_term(p.term)
+    if p.tag in FILE_TAGS:
+        return [Event(p.tag, file=str("~f~" if value is WILDCARD else value))]
+    i = value if isinstance(value, int) else 0
+    if p.tag == "ret":
+        return [Event("ret", id=i)]
+    name = "m" if p.name in (None, WILDCARD) else p.name
+    return [Event(tag, name=name, id=i) for tag in p.trace_tags()]
 
 
 def _generation_chain(chain: list) -> Optional[list]:
@@ -713,21 +668,18 @@ def _atom_witness_options(atom, alphabet, sigma) -> Optional[list]:
     if isinstance(atom, Pred):
         return [[]]
     if isinstance(atom, EventF):
-        ground = _atom_as_event(atom)
-        if ground is None:
+        if _ground_term(atom.term) is None:
             return None
-        evs = _ground_to_events(ground)
         items = []
-        for ev in evs:
+        for ev in _shape_events(atom):
             items.extend([ev, sigma])
         return [items]
     if isinstance(atom, NoEv):
         opts = [[]]
         if atom.excluded is not ALL_EVENTS:
             for ev in alphabet:
-                if not any(_pattern_matches_ground(
-                        p, (ev.tag, ev.name, ev.id, ev.file))
-                        for p in atom.excluded):
+                if not any(p.fits(ev) and p.has_value(ev, _witness_view(p))
+                           for p in atom.excluded):
                     opts.append([ev, sigma])
         return opts
     return None
@@ -835,7 +787,7 @@ def _sample_consts(formulas, max_valuations: int = 9) -> list:
     valuations = [{}]
     for name in sorted(ctx):
         if ctx[name] <= {"file"}:
-            pool = [f"~{name}~"]
+            pool = [_witness_value(name)]
         else:
             pool = ints
         valuations = [dict(v, **{name: x}) for v in valuations for x in pool]
@@ -995,7 +947,7 @@ def _store_state(context) -> State:
         if isinstance(term, TLit):
             bindings[var] = term.value
         elif isinstance(term, TConst):
-            bindings[var] = f"~{term.name}~"
+            bindings[var] = _witness_value(term.name)
     return State(bindings)
 
 
@@ -1069,8 +1021,9 @@ class Target:
     def clamp(self):
         self.cursor = max(0, min(self.cursor, len(self.chain) - 1))
 
-    def advance_over_event(self, probe):
-        """Move the cursor past the event atom the emitted event matches.
+    def advance_over_event(self, probe: EventF):
+        """Move the cursor past the event atom equal to the emitted event's
+        shape.
 
         Flexible segments ahead are skipped during the search (they may be
         arbitrarily thin); an unmatched event atom stops it, since that atom
@@ -1078,14 +1031,11 @@ class Target:
         cursor settles into the first flexible segment that admits the
         event; conservative otherwise.
         """
-        if probe is None:
-            return
         j = self.cursor
         while j < len(self.chain):
             seg = self.chain[j]
             if isinstance(seg, EventF):
-                ground = _atom_as_event(seg)
-                if ground is not None and _event_atoms_equal(ground, probe):
+                if seg == probe:
                     self.cursor = min(j + 1, len(self.chain) - 1)
                     return
                 break
@@ -1100,7 +1050,7 @@ class Target:
                 if seg.excluded is ALL_EVENTS:
                     fits = False
                 else:
-                    fits = not any(_pattern_matches_ground(p, probe)
+                    fits = not any(_may_match(p, probe)
                                    for p in seg.excluded)
                 if fits:
                     self.cursor = j
@@ -1112,10 +1062,6 @@ class Target:
                 continue
             return
         self.clamp()
-
-
-def _event_atoms_equal(a, b) -> bool:
-    return a == b
 
 
 def _match_chain_events(chain: list, events: list, start: int):
@@ -1301,7 +1247,7 @@ def apply_contract_rule(m: str, c: ContractDecl, gamma: list,
     gamma2 = gamma + [pre_judgment]
     body = lookup(m, program) if m != "init" else program.init_body
     target = Target(chain=chop_chain(theta_post))
-    target.advance_over_event(("start", m, O_ID, None))
+    target.advance_over_event(EventF("start", m, TLit(O_ID)))
     subtree = _symexec(gamma2, u0, body, target, m, context)
     node = ProofNode(rule="Contract",
                      conclusion=f"|- {m} : C_{m}", premises=[subtree])
@@ -1347,7 +1293,7 @@ def _symexec(gamma: list, update: Update, stmt: Optional[Stmt], target: Target,
 
     if isinstance(head, Return):
         u2 = update + (UEvent("ret", id=O_ID),)
-        target.advance_over_event(("ret", None, O_ID, None))
+        target.advance_over_event(EventF("ret", id=TLit(O_ID)))
         sub = _symexec(gamma, u2, rest, target, m, context)
         return ProofNode(rule="Return",
                          conclusion=f"{update_repr(update)} return",
@@ -1369,10 +1315,8 @@ def _symexec(gamma: list, update: Update, stmt: Optional[Stmt], target: Target,
             guard = _file_guard(term, head.operand)
             premises.append(_discharge_node(gamma, update, guard, context,
                                             "FileGuard"))
-        probe = (head.op, None, None,
-                 term.value if isinstance(term, TLit) else
-                 ("const", term.name) if isinstance(term, TConst) else None)
-        target.advance_over_event(probe)
+        target.advance_over_event(EventF(
+            head.op, payload=term if isinstance(term, (TLit, TConst)) else None))
         sub = _symexec(gamma, u2, rest, target, m, context)
         premises.append(sub)
         rule = head.op.capitalize()
@@ -1423,7 +1367,7 @@ def _file_guard(term, operand) -> Formula:
     return chop_of([
         NoEv(frozenset()),
         EventF("open", payload=payload),
-        NoEv(frozenset([EventPattern("close", payload=payload)])),
+        NoEv(frozenset([EventF("close", payload=payload)])),
     ])
 
 

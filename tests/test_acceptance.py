@@ -10,7 +10,7 @@ import random
 from catverify import parse_contracts, parse_program
 from catverify.contracts import (ContractDecl, adheres_procedure, id_of,
                                  adheres_trace, program_correct)
-from catverify.formula import NoEv, TVar, TLit, TRUE, LBinOp, EventPattern
+from catverify.formula import NoEv, TVar, TLit, TRUE, LBinOp, EventF
 from catverify.gen import gen_contracts, gen_program, gen_update, trivial_contract
 from catverify.interp import check_file_correct, enumerate_traces
 from catverify.trace import call_tree, schedule
@@ -132,7 +132,7 @@ def test_criterion_8_liskov(files_contracts):
     assert subtype(strong, weak, bound=4).status == "proved"
     restrictive = ContractDecl(
         "c", ANY, (("file", "f"),), TRUE,
-        NoEv(frozenset([EventPattern("close", payload=TVar("f"))])),
+        NoEv(frozenset([EventF("close", payload=TVar("f"))])),
         (), TRUE, ANY)
     permissive = ContractDecl("c", ANY, (("file", "f"),), TRUE, ANY,
                               (), TRUE, ANY)
@@ -141,11 +141,11 @@ def test_criterion_8_liskov(files_contracts):
     # three-element chain: the unique top survives
     top = trivial_contract("c")
     mid = ContractDecl("c", ANY, (), TRUE,
-                       NoEv(frozenset([EventPattern("open", payload=TLit("s"))])),
+                       NoEv(frozenset([EventF("open", payload=TLit("s"))])),
                        (), TRUE, ANY)
     bot = ContractDecl("c", ANY, (), TRUE,
-                       NoEv(frozenset([EventPattern("open", payload=TLit("s")),
-                                       EventPattern("close", payload=TLit("s"))])),
+                       NoEv(frozenset([EventF("open", payload=TLit("s")),
+                                       EventF("close", payload=TLit("s"))])),
                        (), TRUE, ANY)
     assert max_contracts([bot, mid, top]) == [top]
     _report(8, "reflexivity, the state-contract reduction, the L2 "

@@ -28,6 +28,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in out.err
 
 
+@pytest.mark.parametrize("body", [
+    "if (true) { " * 2000 + "skip" + " }" * 2000,
+    "x; x = " + "(" * 3000 + "1" + ")" * 3000,
+], ids=["nested-ifs", "nested-parens"])
+def test_deep_nesting_is_a_clean_error(tmp_path, capsys, body):
+    deep = tmp_path / "deep.async"
+    deep.write_text("{ " + body + " }")
+    code, out = run_cli("parse", str(deep), capsys=capsys)
+    assert code == 3
+    assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
+
+
 def test_run_command_counts(capsys):
     code, out = run_cli("run", f"{CORPUS}/files.async", "--json", capsys=capsys)
     assert code == 0

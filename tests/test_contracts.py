@@ -7,7 +7,7 @@ from catverify.contracts import (AdherenceReport, ContractDecl, ContractError,
                                  adherence_formula, adheres_procedure,
                                  adheres_trace, blame_clause, classify, id_of,
                                  program_correct, weak_variant)
-from catverify.formula import (Chop, EventF, EventPattern, NoEv, Obs, Pred,
+from catverify.formula import (Chop, EventF, NoEv, Obs, Pred,
                                TLit, TVar, TRUE, member)
 from catverify.interp import enumerate_traces
 from catverify.syntax import AsyncSyntaxError
@@ -25,11 +25,11 @@ def test_parse_closeF_contract(files_contracts):
     # the observation is anchored inside the assume trace
     assert c.pre_body == Chop(ANY, Obs("file", "f",
                                        Chop(EventF("open", payload=TVar("f")),
-                                            NoEv(frozenset([EventPattern(
+                                            NoEv(frozenset([EventF(
                                                 "close", payload=TVar("f"))])))))
     assert c.internal_body == Chop(
         EventF("close", payload=TVar("f")),
-        NoEv(frozenset([EventPattern("open", payload=TVar("f"))])))
+        NoEv(frozenset([EventF("open", payload=TVar("f"))])))
     assert c.post_body == ANY
 
 

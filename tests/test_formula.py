@@ -6,7 +6,7 @@ import pytest
 from catverify import formula as fm
 from catverify import parse_formula
 from catverify.formula import (ALL_EVENTS, And, Chop, Concat, EventF,
-                               EventPattern, Included, Mu, NoEv, NoEvItem, Obs,
+                               Included, Mu, NoEv, NoEvItem, Obs,
                                Or, Pred, RecVar, TConst, TLit, TVar,
                                UnboundLogicVar, UnboundProgramVar, included,
                                member, noev_equiv_mu, noev_mu_encoding,
@@ -67,6 +67,42 @@ def test_start_matches_sync_and_async_activation():
     assert member(sync, phi)
     assert member(async_, phi)
     assert not member(Trace([S0, Event("invoc", name="m", id=2), S0]), phi)
+    lone_call = Trace([S0, Event("call", name="m", id=2), S0])
+    assert not member(lone_call, phi)
+    # as an exclusion, start excludes the call as well as the push
+    assert not member(lone_call, NoEv(frozenset([phi])))
+    assert not member(async_, NoEv(frozenset([phi])))
+
+
+def test_event_shape_matcher_agrees_with_denotation():
+    rng = random.Random(11)
+    scope_tags = ("ret", "pop", "call", "invoc", "push")
+    file_tags = ("open", "close", "read", "write")
+    names = (None, fm.WILDCARD, "m", "n")
+    ids = (None, fm.WILDCARD, TLit(0), TLit(1))
+    files = (None, fm.WILDCARD, TLit("fa"), TLit("fb"))
+    outcomes = set()
+    for _ in range(2000):
+        tag = rng.choice(scope_tags + file_tags)
+        if tag in file_tags:
+            p = EventF(tag, payload=rng.choice(files))
+        elif tag == "ret":
+            p = EventF(tag, id=rng.choice(ids))
+        else:
+            p = EventF(tag, rng.choice(names), rng.choice(ids))
+        etag = tag if rng.random() < 0.5 else rng.choice(scope_tags + file_tags)
+        if etag in file_tags:
+            e = Event(etag, file=rng.choice(("fa", "fb")))
+        elif etag == "ret":
+            e = Event(etag, id=rng.randint(0, 1))
+        else:
+            e = Event(etag, name=rng.choice(("m", "n")), id=rng.randint(0, 1))
+        t = Trace([S0, e, S0])
+        hit = p.matches(e, {}, {})
+        assert member(t, p) == hit
+        assert member(t, NoEv(frozenset([p]))) != hit
+        outcomes.add(hit)
+    assert outcomes == {True, False}
 
 
 # --- noEv vs mu encoding -------------------------------------------------------
@@ -78,7 +114,7 @@ def test_noev_equiv_mu_trivial():
 
 def test_noev_equiv_mu_random():
     rng = random.Random(5)
-    excl_open = frozenset([EventPattern("open", payload=TLit("fa"))])
+    excl_open = frozenset([EventF("open", payload=TLit("fa"))])
     alphabets = [frozenset(), excl_open, ALL_EVENTS]
     for i in range(1000):
         t = gen_trace(rng, max_len=10, events=[

@@ -4,11 +4,12 @@ import random
 import pytest
 
 from catverify import enumerate_traces
-from catverify.trace import (AnySeg, ChopMismatch, CallTree, Event, EvPattern,
-                             EventSeg, MalformedTrace, NoScope, State, Trace,
-                             call_tree, chop, curr_scope, curr_scope_schematic,
-                             event_triple, matches_schematic, max_call_id,
-                             schedule, singleton, trace_from_json,
+from catverify.formula import ANY, Chop, EventF, member
+from catverify.parser import parse_formula
+from catverify.trace import (ChopMismatch, CallTree, Event, MalformedTrace,
+                             NoScope, State, Trace, call_tree, chop,
+                             curr_scope, curr_scope_schematic, event_triple,
+                             max_call_id, schedule, singleton, trace_from_json,
                              trace_to_json)
 from catverify.syntax import Lit, Var
 
@@ -251,35 +252,33 @@ def test_event_triple_flanking_invariant(files_program, fanout_program):
                     assert items[i - 1] == items[i + 1]
 
 
-# --- schematic matching -----------------------------------------------------------
+# --- schematic patterns as formulas -----------------------------------------------
+
+CALL = EventF("call")  # any call event
+
 
 def test_matches_schematic_fig3(fanout_program):
     t = fig3_prefix(fanout_program)
-    pattern = [AnySeg(), EventSeg(EvPattern("ret", id=2)),
-               AnySeg(excluded=(EvPattern("pop", id=2),))]
-    assert matches_schematic(t, pattern)
+    assert member(t, parse_formula("~ ** ret(2) ** ~[pop(_,2)]"))
 
 
 def test_matches_schematic_singleton():
-    assert matches_schematic(singleton(S0), [AnySeg()])
+    assert member(singleton(S0), ANY)
 
 
 def test_matches_schematic_exclusion():
     t = Trace([S0, Event("open", file="f"), S0])
-    assert not matches_schematic(
-        t, [AnySeg(excluded=(EvPattern("open", file="f"),))])
-    assert matches_schematic(t, [AnySeg()])
+    assert not member(t, parse_formula('~[open("f")]'))
+    assert member(t, ANY)
 
 
 def test_matches_schematic_trailing_event():
     t = Trace([S0, Event("call", name="m", id=1), S0])
-    assert matches_schematic(t, [EventSeg(EvPattern("call"))])
-    assert not matches_schematic(
-        Trace([S0, Event("call", name="m", id=1), S0, SX]),
-        [AnySeg(), EventSeg(EvPattern("call"))])
-    assert matches_schematic(
-        Trace([S0, SX, Event("call", name="m", id=1), SX]),
-        [AnySeg(), EventSeg(EvPattern("call"))])
+    assert member(t, CALL)
+    assert not member(
+        Trace([S0, Event("call", name="m", id=1), S0, SX]), Chop(ANY, CALL))
+    assert member(
+        Trace([S0, SX, Event("call", name="m", id=1), SX]), Chop(ANY, CALL))
 
 
 # --- JSON -----------------------------------------------------------------------

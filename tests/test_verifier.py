@@ -5,7 +5,7 @@ import pytest
 from catverify import (parse_contract, parse_contracts, parse_formula,
                        parse_program)
 from catverify.contracts import ContractDecl
-from catverify.formula import (And, Chop, EventF, EventPattern, NoEv, Pred,
+from catverify.formula import (And, Chop, EventF, NoEv, Pred,
                                TConst, TLit, TVar, TRUE, member, normalize)
 from catverify.gen import gen_program, gen_update, trivial_contract
 from catverify.interp import enumerate_traces, eval_global
@@ -130,14 +130,14 @@ def _pre_judgment_closeF():
     theta_pre = parse_formula('~ open(f) ~[close(f)]')
     theta_pre = normalize(
         Chop(Chop(ANY, EventF("open", payload=TConst("c"))),
-             NoEv(frozenset([EventPattern("close", payload=TConst("c"))]))))
+             NoEv(frozenset([EventF("close", payload=TConst("c"))]))))
     return u0, LocalJudgment(u0, theta_pre)
 
 
 def test_discharge_via_antecedent(files_program):
     u0, judgment = _pre_judgment_closeF()
     want = Chop(ANY, Chop(EventF("open", payload=TConst("c")),
-                          NoEv(frozenset([EventPattern("close",
+                          NoEv(frozenset([EventF("close",
                                                        payload=TConst("c"))]))))
     result = discharge_local([judgment], u0, want, program=files_program)
     assert result.closed and not result.bounded
@@ -145,14 +145,14 @@ def test_discharge_via_antecedent(files_program):
 
 def test_discharge_ret_keeps_exclusion(files_program):
     update = (UEvent("ret", id=0),)
-    want = NoEv(frozenset([EventPattern("open", payload=TConst("c"))]))
+    want = NoEv(frozenset([EventF("open", payload=TConst("c"))]))
     result = discharge_local([], update, want, program=files_program)
     assert result.closed
 
 
 def test_discharge_close_violates_exclusion(files_program):
     update = (UEvent("close", file_expr=Lit("f"), file_term=TLit("f")),)
-    want = NoEv(frozenset([EventPattern("close", payload=TLit("f"))]))
+    want = NoEv(frozenset([EventF("close", payload=TLit("f"))]))
     result = discharge_local([], update, want, program=files_program)
     assert not result.closed
 
@@ -165,7 +165,7 @@ def test_discharge_concrete_mode(files_program):
     result = discharge_local([], update, want, mode="concrete",
                              program=files_program)
     assert result.closed and result.bounded
-    bad = NoEv(frozenset([EventPattern("close", payload=TLit("f"))]))
+    bad = NoEv(frozenset([EventF("close", payload=TLit("f"))]))
     result = discharge_local([], update, bad, mode="concrete",
                              program=files_program)
     assert not result.closed
@@ -566,7 +566,7 @@ def test_subtype_state_contract_reduction():
 
 def test_subtype_internal_exclusion_disproved_at_l2():
     c1 = ContractDecl("c", ANY, (("file", "f"),), TRUE,
-                      NoEv(frozenset([EventPattern("close", payload=TVar("f"))])),
+                      NoEv(frozenset([EventF("close", payload=TVar("f"))])),
                       (), TRUE, ANY)
     c2 = ContractDecl("c", ANY, (("file", "f"),), TRUE, ANY, (), TRUE, ANY)
     verdict = subtype(c1, c2, bound=5)
@@ -584,21 +584,21 @@ def test_subtype_mismatched_binders_unknown():
 def test_max_contracts_cases():
     top = ContractDecl("c", ANY, (), TRUE, ANY, (), TRUE, ANY)
     mid = ContractDecl("c", ANY, (), TRUE,
-                       NoEv(frozenset([EventPattern("open", payload=TLit("s"))])),
+                       NoEv(frozenset([EventF("open", payload=TLit("s"))])),
                        (), TRUE, ANY)
     bot = ContractDecl("c", ANY, (), TRUE,
-                       NoEv(frozenset([EventPattern("open", payload=TLit("s")),
-                                       EventPattern("close", payload=TLit("s"))])),
+                       NoEv(frozenset([EventF("open", payload=TLit("s")),
+                                       EventF("close", payload=TLit("s"))])),
                        (), TRUE, ANY)
     assert max_contracts([top]) == [top]
     assert max_contracts([top, mid]) == [top]
     assert max_contracts([top, mid, bot]) == [top]
     # incomparable contracts are both kept
     left = ContractDecl("c", ANY, (), TRUE,
-                        NoEv(frozenset([EventPattern("open", payload=TLit("s"))])),
+                        NoEv(frozenset([EventF("open", payload=TLit("s"))])),
                         (), TRUE, ANY)
     right = ContractDecl("c", ANY, (), TRUE,
-                         NoEv(frozenset([EventPattern("close", payload=TLit("s"))])),
+                         NoEv(frozenset([EventF("close", payload=TLit("s"))])),
                          (), TRUE, ANY)
     assert set(map(id, max_contracts([left, right]))) == {id(left), id(right)}
 
@@ -608,7 +608,7 @@ def test_act_order_uses_maximal_contract():
     general = trivial_contract("a")
     specific = ContractDecl(
         "a", ANY, (), TRUE,
-        NoEv(frozenset([EventPattern("open", payload=TLit("s"))])),
+        NoEv(frozenset([EventF("open", payload=TLit("s"))])),
         (), TRUE, ANY)
     contracts = {"a": [general, specific], "c": trivial_contract("c"),
                  "init": trivial_contract("init")}
