@@ -2,8 +2,8 @@
 
 Subcommands: parse | run | calltree | check-member | adhere | verify |
 subtype | max-contracts. Exit codes: 0 ok, 1 semantic violation, 2 unproved,
-3 error. Default bounds come from CATVERIFY_MAX_STEPS, CATVERIFY_MAX_TRACES,
-and CATVERIFY_BOUND when set.
+3 error (malformed input included). Default bounds come from
+CATVERIFY_MAX_STEPS and CATVERIFY_MAX_TRACES when set.
 """
 
 from __future__ import annotations
@@ -16,14 +16,25 @@ import sys
 
 from . import contracts as ct
 from . import verifier as vf
-from .formula import member
+from .formula import FormulaError, member
 from .interp import (BoundExceeded, TooManyTraces, check_file_correct,
                      enumerate_traces)
 from .parser import parse_contracts, parse_formula, parse_program
 from .syntax import AsyncSyntaxError, INIT_NAME, pretty_program
-from .trace import Trace, call_tree, schedule, trace_from_json, trace_to_json
+from .trace import (MalformedTrace, Trace, call_tree, schedule,
+                    trace_from_json, trace_to_json)
 
 OK, VIOLATION, UNPROVED, ERROR = 0, 1, 2, 3
+
+
+class UsageError(Exception):
+    """A malformed command line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit 2 would read as "unproved"
+        raise UsageError(message)
 
 
 def _env_int(name, default):
@@ -41,12 +52,11 @@ def _add_common(p):
                    default=_env_int("CATVERIFY_MAX_STEPS", 10_000))
     p.add_argument("--max-traces", type=int,
                    default=_env_int("CATVERIFY_MAX_TRACES", 10_000))
-    p.add_argument("--bound", type=int, default=_env_int("CATVERIFY_BOUND", 12))
     p.add_argument("--json", action="store_true", dest="as_json")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="catverify",
         description="Trace semantics, trace contracts, and a modular "
                     "verifier for a small asynchronous language.")
@@ -152,10 +162,14 @@ def _trace_digest(trace):
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _traces(program, args):
+    return enumerate_traces(program, step_bound=args.max_steps,
+                            max_traces=args.max_traces)
+
+
 def cmd_run(args):
     program = _load_program(args.program)
-    traces = enumerate_traces(program, step_bound=args.max_steps,
-                              max_traces=args.max_traces)
+    traces = _traces(program, args)
     entries = []
     any_violation = False
     for i, t in enumerate(traces):
@@ -183,8 +197,7 @@ def cmd_run(args):
 
 def cmd_calltree(args):
     program = _load_program(args.program)
-    traces = enumerate_traces(program, step_bound=args.max_steps,
-                              max_traces=args.max_traces)
+    traces = _traces(program, args)
     if not (0 <= args.trace_index < len(traces)):
         print(f"error: trace index out of range", file=sys.stderr)
         return ERROR
@@ -229,12 +242,12 @@ def cmd_adhere(args):
             return ERROR
         report = ct.adheres_procedure(program, args.procedure,
                                       cmap[args.procedure],
-                                      step_bound=args.max_steps)
+                                      traces=_traces(program, args))
         reports = {args.procedure: report}
         ok = report.adherent
     else:
         ok, reports = ct.program_correct(program, cmap,
-                                         step_bound=args.max_steps)
+                                         traces=_traces(program, args))
     payload = {"correct": ok,
                "procedures": {n: r.to_json() for n, r in reports.items()}}
     if args.as_json:
@@ -253,16 +266,18 @@ def cmd_verify(args):
     cmap = _contract_map(_load_contracts(args.contracts))
     overrides = None
     if args.split:
-        overrides = []
-        for part in args.split.split(","):
-            j, k = part.split(":")
-            overrides.append((int(j), int(k)))
+        try:
+            overrides = [(int(j), int(k)) for j, k in
+                         (part.split(":") for part in args.split.split(","))]
+        except ValueError:
+            raise UsageError(f"--split takes comma-separated j:k pairs, "
+                             f"not {args.split!r}") from None
     names = [args.procedure] if args.procedure else \
         [p.name for p in program.procedures] + [INIT_NAME]
     trees = {}
     for name in names:
         trees[name] = vf.verify_procedure(
-            program, cmap, name, mode=args.discharge, bound=args.bound,
+            program, cmap, name, mode=args.discharge,
             schedule_variant=args.schedule_rule, split_overrides=overrides)
     accepted = all(t.accepted for t in trees.values())
     report = {
@@ -271,10 +286,8 @@ def cmd_verify(args):
                        for n, t in trees.items()},
     }
     if args.cross_check and accepted and not args.procedure:
-        correct, oracle_reports = ct.program_correct(program, cmap,
-                                                     step_bound=args.max_steps)
-        traces = enumerate_traces(program, step_bound=args.max_steps,
-                                  max_traces=args.max_traces)
+        traces = _traces(program, args)
+        correct, _ = ct.program_correct(program, cmap, traces=traces)
         files_ok = all(check_file_correct(t) for t in traces)
         report["cross_check"] = {"program_correct": correct,
                                  "file_correct": files_ok}
@@ -306,10 +319,11 @@ def cmd_subtype(args):
     except KeyError as exc:
         print(f"error: unknown contract {exc}", file=sys.stderr)
         return ERROR
-    verdict = vf.subtype(general, specific, bound=min(args.bound, 7))
+    verdict = vf.subtype(general, specific)
     if args.as_json:
         print(json.dumps({"status": verdict.status,
-                          "failed_condition": verdict.failed_condition}))
+                          "failed_condition": verdict.failed_condition,
+                          "bounded": verdict.bounded}))
     else:
         if verdict.status == "proved":
             print(f"{args.general} >= {args.specific}: proved")
@@ -317,7 +331,8 @@ def cmd_subtype(args):
             print(f"{args.general} >= {args.specific}: disproved "
                   f"at {verdict.failed_condition}")
         else:
-            print(f"{args.general} >= {args.specific}: unknown")
+            print(f"{args.general} >= {args.specific}: unknown"
+                  + (" (bounded evidence only)" if verdict.bounded else ""))
     return {"proved": OK, "disproved": VIOLATION,
             "unknown": UNPROVED}[verdict.status]
 
@@ -329,7 +344,7 @@ def cmd_max_contracts(args):
         by_name.setdefault(c.name, []).append(c)
     out = {}
     for name, group in sorted(by_name.items()):
-        keep = vf.max_contracts(group, bound=min(args.bound, 7))
+        keep = vf.max_contracts(group)
         out[name] = [group.index(c) for c in keep]
     if args.as_json:
         print(json.dumps(out, indent=2))
@@ -353,12 +368,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (AsyncSyntaxError, ct.ContractError, vf.VerifierError,
-            BoundExceeded, TooManyTraces, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, AsyncSyntaxError, FormulaError, MalformedTrace,
+            ct.ContractError, vf.VerifierError, BoundExceeded, TooManyTraces,
+            OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except RecursionError:

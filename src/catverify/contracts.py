@@ -261,7 +261,8 @@ def adheres_procedure(program, m: str, c: ContractDecl,
     return report
 
 
-def program_correct(program, contracts: dict, step_bound: int = 10_000):
+def program_correct(program, contracts: dict, step_bound: int = 10_000,
+                    traces=None):
     """Conjunction of procedure adherence over all procedures including init.
 
     ``contracts`` maps procedure names (and "init") to contract declarations.
@@ -273,7 +274,8 @@ def program_correct(program, contracts: dict, step_bound: int = 10_000):
     missing = [n for n in names if n not in contracts]
     if missing:
         raise ContractError(f"missing contracts for procedures: {missing}")
-    traces = enumerate_traces(program, step_bound=step_bound)
+    if traces is None:
+        traces = enumerate_traces(program, step_bound=step_bound)
     reports = {}
     for n in names:
         reports[n] = adheres_procedure(program, n, contracts[n],

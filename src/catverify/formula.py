@@ -1,4 +1,5 @@
-"""Fixed-point trace logic: formula AST and finite-trace membership.
+"""Fixed-point trace logic: formula AST, finite-trace membership, and
+language inclusion.
 
 Membership of a concrete trace in a formula's denotation is decided by an
 interval algorithm: for every subformula we compute the set of index
@@ -6,14 +7,21 @@ intervals ``(i, j)`` of the trace it denotes. Sequencing splits intervals
 adjacently (concatenation) or overlapping on one shared state position
 (chop); recursion is solved by Kleene iteration over interval sets, which
 terminates because a finite trace has finitely many intervals.
+
+Inclusion is decided exactly for the regular fragment: under each constant
+valuation from a finite pool, Antimirov partial derivatives give automata
+over a finite alphabet of trace items, and a breadth-first antichain search
+(De Wulf, Doyen, Henzinger and Raskin) finds the shortest well-formed
+counterexample trace, if there is one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .trace import FILE_TAGS, Event, State, Trace
+from .trace import EVENT_TAGS, FILE_TAGS, Event, State, Trace
 
 
 class FormulaError(Exception):
@@ -674,6 +682,13 @@ def chop_chain(phi) -> list:
     return [phi]
 
 
+def conjuncts(phi) -> list:
+    """Flatten nested conjunctions into a conjunct list."""
+    if isinstance(phi, And):
+        return conjuncts(phi.lhs) + conjuncts(phi.rhs)
+    return [phi]
+
+
 def chop_of(segments) -> Formula:
     if not segments:
         raise ValueError("empty chop chain")
@@ -734,199 +749,465 @@ def normalize(phi) -> Formula:
     return phi
 
 
-# --- bounded language inclusion -------------------------------------------
+# --- language inclusion -----------------------------------------------------
 
 @dataclass(frozen=True)
 class Included:
+    """Verdict of ``included``. ``bounded`` marks an "included" that rests
+    on a value pool a predicate could outrun; a counterexample is a real
+    one under ``valuation``."""
     status: str  # "included" | "counterexample" | "unknown"
     counterexample: Optional[Trace] = None
     valuation: Optional[tuple] = None
     detail: str = ""
+    bounded: bool = False
 
     def __bool__(self):
         return self.status == "included"
 
 
+def _pool_may_miss(e) -> bool:
+    """Whether the value pool can miss a valuation of the predicate: it does
+    arithmetic, or orders other than one unknown against an integer literal
+    (the literals and their neighbours give every order type of that)."""
+    if isinstance(e, LNot):
+        return _pool_may_miss(e.arg)
+    if not isinstance(e, LBinOp):
+        return False
+    lits = [x for x in (e.lhs, e.rhs) if isinstance(x, TLit)]
+    unknowns = [x for x in (e.lhs, e.rhs) if isinstance(x, (TConst, TVar))]
+    if e.op in ("+", "-", "*") or e.op in ("<", "<=", ">", ">=") and not (
+            len(lits) == 2 or lits and unknowns and type(lits[0].value) is int):
+        return True
+    return _pool_may_miss(e.lhs) or _pool_may_miss(e.rhs)
+
+
 def _collect_alphabet(phis):
-    """Ground value pools and event shapes mentioned by the formulas."""
-    strings, ints, names, id_lits = set(), set(), set(), set()
-    events = []          # EventF shapes
-    pvars = set()
-    consts = set()
-    ungrounded = []
+    """Literals, constants with the positions they occur in ("id", "file",
+    "pred"), observed program variables and their logic variables, event
+    shapes, predicates, and the unknowns a predicate orders. ``ints`` holds
+    the predicates' integer literals and their neighbours, ``int_lits``
+    every integer literal."""
+    info = {"strings": set(), "ints": set(), "id_lits": set(),
+            "int_lits": set(), "consts": set(),
+            "pvars": [], "lvars": [], "events": [], "preds": [],
+            "ordered": set()}
 
     def walk_term(t, context):
-        if isinstance(t, TLit):
+        if isinstance(t, TLit) and not isinstance(t.value, bool):
             if isinstance(t.value, str):
-                strings.add(t.value)
-            elif isinstance(t.value, bool):
-                pass
+                info["strings"].add(t.value)
+                return
+            info["int_lits"].add(t.value)
+            if context == "pred":
+                info["ints"].update({t.value - 1, t.value, t.value + 1})
             else:
-                ints.update({t.value - 1, t.value, t.value + 1})
+                info["id_lits"].add(t.value)
         elif isinstance(t, TConst):
-            consts.add((t.name, context))
-        elif isinstance(t, TVar):
-            ungrounded.append(t.name)
-        elif isinstance(t, LBinOp):
-            walk_term(t.lhs, context)
-            walk_term(t.rhs, context)
-        elif isinstance(t, LNot):
-            walk_term(t.arg, context)
+            info["consts"].add((t.name, context))
+        elif isinstance(t, (LBinOp, LNot)):
+            subs = (t.lhs, t.rhs) if isinstance(t, LBinOp) else (t.arg,)
+            if isinstance(t, LBinOp) and t.op in ("<", "<=", ">", ">="):
+                info["ordered"].update((type(x).__name__, x.name) for x in subs
+                                       if isinstance(x, (TConst, TVar)))
+            for sub in subs:
+                walk_term(sub, context)
 
-    def walk(phi, bound):
+    def walk(phi):
         if isinstance(phi, Pred):
+            info["preds"].append(phi.expr)
             walk_term(phi.expr, "pred")
         elif isinstance(phi, (And, Or, Concat, Chop)):
-            walk(phi.lhs, bound)
-            walk(phi.rhs, bound)
-        elif isinstance(phi, Mu):
-            walk(phi.body, bound)
-        elif isinstance(phi, Obs):
-            pvars.add(phi.pvar)
-            walk(phi.body, bound | {phi.lvar})
+            walk(phi.lhs)
+            walk(phi.rhs)
+        elif isinstance(phi, (Mu, Obs)):
+            if isinstance(phi, Obs):
+                info["pvars"].append(phi.pvar)
+                info["lvars"].append(phi.lvar)
+            walk(phi.body)
         else:
             for p in event_shapes(phi):
-                if isinstance(p.name, str):
-                    names.add(p.name)
-                for t, ctx in ((p.id, "id"), (p.payload, "file")):
-                    if isinstance(t, TLit):
-                        if isinstance(t.value, str):
-                            strings.add(t.value)
-                        elif not isinstance(t.value, bool):
-                            id_lits.add(t.value)
-                    elif isinstance(t, TConst):
-                        consts.add((t.name, ctx))
-                    elif isinstance(t, TVar) and t.name not in bound:
-                        ungrounded.append(t.name)
-                events.append(p)
+                walk_term(p.id, "id")
+                walk_term(p.payload, "file")
+                info["events"].append(p)
 
     for phi in phis:
-        walk(phi, frozenset())
-    return {
-        "strings": strings, "ints": ints, "names": names, "id_lits": id_lits,
-        "events": events, "pvars": pvars, "consts": consts,
-        "ungrounded": ungrounded,
-    }
+        walk(phi)
+    return info
 
 
-def included(phi1, phi2, bound: int = 6, max_valuations: int = 16) -> Included:
-    """Bounded language inclusion test over well-formed candidate traces.
+def _int_pool(info) -> list:
+    """Integers that realise every way the unknowns (constants and observed
+    values) can relate to the integer literals and to each other by
+    equality: each literal and, for k unknowns that a predicate orders, its
+    k nearest neighbours on either side, so that k unknowns find k distinct
+    values in every gap between literals."""
+    ordered = info["ordered"]
+    k = len({n for kind, n in ordered if kind == "TConst"}) + sum(
+        ("TVar", lv) in ordered for lv in info["lvars"])
+    return sorted({x + d for x in info["int_lits"] for d in range(-k, k + 1)})
 
-    Enumerates state-delimited traces of up to ``bound`` items over the event
-    alphabet occurring in either formula and a small abstract state set
-    derived from the predicates' atoms; constants are sampled per inferred
-    type and inclusion must hold under every sampled valuation.
+
+def _fresh(kind, ints, k):
+    """The k-th value of its kind that no literal or pool value equals."""
+    if kind == "int":
+        return max(ints + [0]) + 2 + k
+    return f"~v{k}~"
+
+
+def _valuations(info):
+    """Each constant takes a literal of its kind or a fresh value, fresh
+    values enumerated up to equality. Constants only in id positions are
+    integers, only in file positions strings; any other constant may be
+    either, or a boolean."""
+    kinds = {}
+    for name, ctx in info["consts"]:
+        kinds.setdefault(name, set()).add(ctx)
+    strings, ints = sorted(info["strings"]), _int_pool(info)
+    pools = {name: (("int",), ints) if ctxs == {"id"} else (("str",), strings)
+             if ctxs == {"file"} else (("str", "int"), strings + ints + [True, False])
+             for name, ctxs in kinds.items()}
+    valuations = [({}, {"int": 0, "str": 0})]  # with fresh values used
+    for name in sorted(kinds):
+        fresh_kinds, pool = pools[name]
+        extended = []
+        for v, used in valuations:
+            extended += [({**v, name: x}, used) for x in pool]
+            extended += [({**v, name: _fresh(kind, ints, k)},
+                          {**used, kind: max(used[kind], k + 1)})
+                         for kind in fresh_kinds for k in range(used[kind] + 1)]
+        valuations = extended
+        if len(valuations) > _WORK_LIMIT // _VALUATION_COST:
+            break  # past the limit already: ``included`` gives up
+    return [v for v, _ in valuations]
+
+
+# ``included`` answers "unknown" rather than search past this many units of
+# work, a unit being about one letter tried at one search state (a few
+# microseconds). Valuations multiply with the constants and state letters
+# with the observed variables, so a formula with many of them would
+# otherwise run for minutes. Building the alphabet and the derivatives for
+# one valuation costs about _VALUATION_COST units.
+_WORK_LIMIT = 10 ** 6
+_VALUATION_COST = 100
+
+
+def _work(info, valuations) -> int:
+    """Rough units of work of the search over these valuations: each
+    builds its alphabet and may try every state letter at every state."""
+    states = len(_observed(info, valuations[0])) ** len(set(info["pvars"]))
+    return len(valuations) * (_VALUATION_COST + states * states)
+
+
+def _other(taken, make):
+    k = 0
+    while make(k) in taken:
+        k += 1
+    return make(k)
+
+
+def _observed(info, consts) -> list:
+    """The values an observed variable takes: every literal and constant,
+    and a fresh string and integer per observation."""
+    if not info["pvars"]:
+        return []
+    # fresh values past those the constants may take
+    n, ints = len(info["consts"]), _int_pool(info)
+    return list({  # bools never equal ints in the logic
+        (type(v).__name__, v): v for v in sorted(info["strings"])
+        + [True, False] + list(consts.values()) + ints}.values()) + [
+        _fresh(kind, ints, n + k) for kind in ("str", "int")
+        for k in range(len(info["pvars"]))]
+
+
+def _letters(info, consts) -> list:
+    """A trace item per class of items the formulas tell apart: a state per
+    valuation of the observed variables, an event per combination of shape
+    matches, call and push keeping their scope for ``start``."""
+    observed = _observed(info, consts)
+    states = [State({})]
+    for pv in sorted(set(info["pvars"])):
+        states = [s.update(pv, v) for s in states for v in observed]
+
+    # the value of a shape whose term is an observed variable comes later
+    shapes = [(p, None if isinstance(p.term, TVar) else p.value({}, consts))
+              for p in info["events"]]
+    starts = [(p, v) for p, v in shapes if p.tag == "start"]
+    names = sorted({p.name for p, _ in shapes if isinstance(p.name, str)})
+    values = [v for _, v in shapes] + observed
+    ids = sorted({v for v in values if type(v) is int and v >= 0})
+    files = sorted({v for v in values if type(v) is str})
+    # a start atom with a free name or id pairs scopes that may differ only
+    # in values no formula mentions, so two of those are kept apart
+    for _ in range(2 if any(not isinstance(p.name, str) or v in (WILDCARD, None)
+                            for p, v in starts) else 1):
+        names.append(_other(set(names), lambda k: f"~m{k}~"))
+        ids.append(max(ids, default=-1) + 1)
+    files.append(_other(set(files), lambda k: f"~f{k}~"))
+
+    events, seen = [], set()
+    for tag in EVENT_TAGS:
+        if tag in FILE_TAGS:
+            candidates = [Event(tag, file=f) for f in files]
+        elif tag == "ret":
+            candidates = [Event(tag, id=i) for i in ids]
+        else:
+            candidates = [Event(tag, name=n, id=i) for n in names for i in ids]
+        for ev in candidates:
+            field = ev.file if tag in FILE_TAGS else ev.id
+            sig = tuple(p.fits(ev) and (field if v is None else p.has_value(ev, v))
+                        for p, v in shapes)
+            if starts:
+                sig += (tag, ev.scope() if tag in ("call", "push") else None)
+            if sig not in seen:
+                seen.add(sig)
+                events.append(ev)
+    return states + events
+
+
+def _right_linear(phi, recs=frozenset()) -> bool:
+    """Whether recursion variables occur only at the right end of sequences,
+    so that the formula denotes a regular language."""
+    if isinstance(phi, (Concat, Chop)) and free_recvars(phi.lhs) & recs:
+        return False
+    if isinstance(phi, (And, Or, Concat, Chop)):
+        return _right_linear(phi.lhs, recs) and _right_linear(phi.rhs, recs)
+    if isinstance(phi, Mu):
+        return _right_linear(phi.body, recs | {phi.var})
+    if isinstance(phi, Obs):
+        return _right_linear(phi.body, recs)
+    return True
+
+
+class _Derivatives:
+    """Antimirov partial derivatives of formulas over a finite alphabet of
+    trace items under one constant valuation, residual terms interned as
+    ints. A residual denotes the words that may follow the letters read, the
+    empty word included. ``Chop`` continues into its right side on the shared
+    state letter; an event atom expects its event and then its first state;
+    ``mu`` unfolds with its variable bound to itself; ``obs`` substitutes the
+    value its state letter gives the observed variable."""
+
+    def __init__(self, letters, consts):
+        self.letters = letters
+        self.is_state = [isinstance(a, State) for a in letters]
+        self.consts = consts
+        self.terms, self.ids = [], {}
+        self.nodes = {}      # id(node) -> node, keeps compiled nodes alive
+        self.compiled = {}   # (id(node), env) -> term
+        self.memo = {}       # (term, letter) -> frozenset of terms
+        self.active = set()  # (mu term, letter) being unfolded
+        self.observed = {}   # (obs node id, value) -> term of the body
+        self.eps = self.intern(("eps",))
+
+    def intern(self, term) -> int:
+        if term not in self.ids:
+            self.ids[term] = len(self.terms)
+            self.terms.append(term)
+        return self.ids[term]
+
+    def compile(self, phi, env=()) -> int:
+        key = (id(phi), env)
+        if key not in self.compiled:
+            self.nodes[id(phi)] = phi
+            self.compiled[key] = self._compile(phi, env)
+        return self.compiled[key]
+
+    def _compile(self, phi, env) -> int:
+        if isinstance(phi, And):
+            return self.conj([self.compile(phi.lhs, env),
+                              self.compile(phi.rhs, env)])
+        if isinstance(phi, (Or, Concat, Chop)):
+            return self.intern((type(phi).__name__, self.compile(phi.lhs, env),
+                                self.compile(phi.rhs, env)))
+        if isinstance(phi, RecVar):
+            return dict(env)[phi.name]
+        if isinstance(phi, (Mu, Obs)):
+            return self.intern((type(phi).__name__, id(phi), env))
+        if isinstance(phi, Pred):
+            return self.intern(("Pred", pred_holds(phi.expr, {}, self.consts)))
+        if isinstance(phi, EventF):
+            return self.intern(("EventF", phi, phi.value({}, self.consts)))
+        # a segment (nullable, repeating): NoEv is (False, True), NoEvItem
+        # (False, False); their residual after a letter is (True, True)
+        return self.intern(("seg", phi.excluded, False, isinstance(phi, NoEv)))
+
+    def conj(self, parts) -> int:
+        members = frozenset(m for t in parts for m in (
+            self.terms[t][1] if self.terms[t][0] == "And" else (t,)))
+        return next(iter(members)) if len(members) == 1 else \
+            self.intern(("And", members))
+
+    def nullable(self, t) -> bool:
+        # formulas never hold the empty word: a sequence's right side is one
+        term = self.terms[t]
+        if term[0] == "And":
+            return all(self.nullable(m) for m in term[1])
+        return term[0] == "eps" or term[0] == "seg" and term[2]
+
+    def step(self, t, a) -> frozenset:
+        """The partial derivatives of term t by letter a."""
+        key = (t, a)
+        if key in self.memo:
+            return self.memo[key]
+        term = self.terms[t]
+        if term[0] != "Mu":
+            out = self._step(term, a)
+        elif key in self.active:
+            # met again without reading a letter: a least fixpoint adds
+            # nothing here
+            return frozenset()
+        else:
+            self.active.add(key)
+            _, node_id, env = term
+            var = self.nodes[node_id].var
+            body = self.compile(self.nodes[node_id].body, tuple(sorted(
+                [(n, v) for n, v in env if n != var] + [(var, t)])))
+            out = self.step(body, a)
+            self.active.discard(key)
+        # results met under an unfolding may miss that unfolding's words
+        if not self.active:
+            self.memo[key] = out
+        return out
+
+    def _step(self, term, a) -> frozenset:
+        kind, state, eps = term[0], self.is_state[a], frozenset([self.eps])
+        if kind == "Pred":
+            return eps if state and term[1] else frozenset()
+        if kind == "seg":
+            if not state and _excludes(term[1], self.letters[a], {}, self.consts):
+                return frozenset()
+            return frozenset([self.intern(("seg", term[1], True, True))]) \
+                if term[3] else eps
+        if kind == "EventF":
+            return frozenset([self.intern(("expect", (term, a)))]) \
+                if state else frozenset()
+        if kind == "expect":
+            return self._expect(term[1], a)
+        if kind == "And":
+            out = [()]
+            for m in term[1]:
+                out = [prev + (d,) for prev in out for d in self.step(m, a)]
+            return frozenset(self.conj(parts) for parts in out)
+        if kind == "Or":
+            return self.step(term[1], a) | self.step(term[2], a)
+        if kind == "Concat":
+            out = {term[2] if d == self.eps else self.intern(("Concat", d, term[2]))
+                   for d in self.step(term[1], a)}
+            return frozenset(out | (self.step(term[2], a)
+                                    if self.nullable(term[1]) else set()))
+        if kind == "Chop":
+            ds = self.step(term[1], a)
+            out = {self.intern(("Chop", d, term[2])) for d in ds if d != self.eps}
+            if state and any(self.nullable(d) for d in ds):
+                out |= self.step(term[2], a)
+            return frozenset(out)
+        if kind == "Obs" and state:
+            node = self.nodes[term[1]]
+            value = self.letters[a].get(node.pvar)
+            key = (term[1], type(value).__name__, value)
+            if key not in self.observed:
+                self.observed[key] = self.compile(
+                    subst_terms(node.body, {node.lvar: TLit(value)}))
+            return self.step(self.observed[key], a)
+        return frozenset()
+
+    def _expect(self, tests, a) -> frozenset:
+        """An event atom after its first state: the event (for ``start`` a
+        push, or a call and its scope's push), each followed by that state."""
+        head, rest = tests[0], tests[1:]
+        ev = self.letters[a]
+        if isinstance(head, int):
+            ok = head == a
+        elif self.is_state[a]:
+            ok = False
+        elif head[0] == "EventF":
+            ok = head[1].fits(ev) and head[1].has_value(ev, head[2])
+            if ok and head[1].tag == "start" and ev.tag == "call":
+                rest = (rest[0], ("push", ev.scope())) + rest
+        else:
+            ok = ev.tag == "push" and ev.scope() == head[1]
+        if not ok:
+            return frozenset()
+        return frozenset([self.intern(("expect", rest)) if rest else self.eps])
+
+    def counterexample(self, left, right) -> Optional[list]:
+        """Shortest well-formed word of term ``left`` outside all ``right``
+        terms: breadth-first search over (left residual, position, right
+        residuals), the position being None or (last state letter, whether
+        an event followed), pruned by an antichain on the right sets."""
+        start = (left, None, frozenset(right))
+        parent = {start: None}
+        antichain = {start[:2]: [start[2]]}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            p, pos, rights = node
+            if pos is not None and not pos[1] and self.nullable(p) \
+                    and not any(self.nullable(q) for q in rights):
+                word = []
+                while parent[node] is not None:
+                    node, a = parent[node]
+                    word.append(self.letters[a])
+                return word[::-1]
+            for a, state in enumerate(self.is_state):
+                if state and (pos is None or not pos[1] or pos[0] == a):
+                    nxt = (a, False)
+                elif not state and pos is not None and not pos[1]:
+                    nxt = (pos[0], True)
+                else:
+                    continue
+                lefts = self.step(p, a)
+                if lefts:
+                    rights2 = frozenset().union(*(self.step(q, a) for q in rights))
+                for p2 in lefts:
+                    seen = antichain.setdefault((p2, nxt), [])
+                    if not any(old <= rights2 for old in seen):
+                        seen[:] = [old for old in seen if not rights2 <= old]
+                        seen.append(rights2)
+                        parent[(p2, nxt, rights2)] = (node, a)
+                        queue.append((p2, nxt, rights2))
+        return None
+
+
+def included(phi1, phi2) -> Included:
+    """Whether every well-formed trace of phi1 lies in phi2 under every
+    constant valuation, with the shortest counterexample if not.
+
+    Valuations come from a finite pool (literals, as many neighbours of
+    each integer literal as predicates order unknowns, fresh values up to
+    equality) that is complete unless a predicate outruns it
+    (``_pool_may_miss``); then "included" is ``bounded``. "unknown" is left for open formulas, recursion outside
+    the right-linear fragment, and formulas with so many constants or
+    observed variables that the search would exceed ``_WORK_LIMIT``.
     """
     if free_recvars(phi1) or free_recvars(phi2):
         return Included("unknown", detail="formulas must be closed")
-    info = _collect_alphabet([phi1, phi2])
-    if info["ungrounded"]:
+    unbound = free_lvars(phi1) | free_lvars(phi2)
+    if unbound:
         return Included("unknown",
-                        detail=f"unbound logic variables {sorted(set(info['ungrounded']))}")
-
-    strings = sorted(info["strings"]) + ["~other~"]
-    ints = sorted(info["ints"]) or [0]
-    ids = sorted(info["id_lits"]) or [0]
-
-    # constant valuations: strings for file payloads, ints otherwise
-    const_names = sorted({name for name, _ in info["consts"]})
-    const_ctx = {}
-    for name, ctx in info["consts"]:
-        const_ctx.setdefault(name, set()).add(ctx)
-    pools = []
-    for name in const_names:
-        ctxs = const_ctx[name]
-        if ctxs <= {"file"}:
-            pools.append([(name, v) for v in strings])
-        elif "pred" in ctxs or "id" in ctxs:
-            pools.append([(name, v) for v in ints])
-        else:
-            pools.append([(name, v) for v in strings])
-    valuations = [{}]
-    for pool in pools:
-        valuations = [dict(v, **{n: x}) for v in valuations for (n, x) in pool]
-        if len(valuations) > max_valuations:
-            valuations = valuations[:max_valuations]
-
-    for valuation in valuations:
-        # ground event alphabet under this valuation
-        events = set()
-        for ef in info["events"]:
-            for tag in ef.trace_tags():
-                name = ef.name if isinstance(ef.name, str) else None
-                idval = None
-                if ef.id is not None and ef.id is not WILDCARD:
-                    try:
-                        idval = eval_term(ef.id, {}, valuation)
-                    except FormulaError:
-                        return Included("unknown", detail="cannot ground event id")
-                payload = None
-                if ef.payload is not None and ef.payload is not WILDCARD:
-                    try:
-                        payload = eval_term(ef.payload, {}, valuation)
-                    except FormulaError:
-                        return Included("unknown", detail="cannot ground payload")
-                if tag in ("open", "close", "read", "write"):
-                    for v in ([payload] if payload is not None else strings):
-                        if isinstance(v, str):
-                            events.add(Event(tag, file=v))
-                elif tag == "ret":
-                    for v in ([idval] if idval is not None else ids):
-                        events.add(Event(tag, id=max(0, int(v))))
-                else:
-                    nm = name or "m"
-                    for v in ([idval] if idval is not None else ids):
-                        events.add(Event(tag, name=nm, id=max(0, int(v))))
-        events = sorted(events, key=repr)
-
-        # abstract states over the observed program variables
-        pvars = sorted(info["pvars"])
-        value_pool = list(ints) + strings
-        states = [State({})]
-        for pv in pvars:
-            states = [s.update(pv, v) for s in states for v in value_pool]
-            if len(states) > 24:
-                states = states[:24]
-
-        cex = _search_counterexample(phi1, phi2, states, events, bound, valuation)
-        if cex is not None:
-            return Included("counterexample", counterexample=cex,
-                            valuation=tuple(sorted(valuation.items())))
-    return Included("included")
-
-
-def _search_counterexample(phi1, phi2, states, events, bound, valuation):
-    """DFS over well-formed traces: first trace in phi1 but not in phi2."""
-
-    def check(items):
-        t = Trace(items)
-        try:
-            if member(t, phi1, {}, valuation) and not member(t, phi2, {}, valuation):
-                return t
-        except FormulaError:
-            return None
-        return None
-
-    def extend(items):
-        if len(items) >= bound:
-            return None
-        last = items[-1]
-        for s in states:
-            cand = items + [s]
-            hit = check(cand) or extend(cand)
-            if hit is not None:
-                return hit
-        if isinstance(last, State):
-            for e in events:
-                if len(items) + 2 <= bound:
-                    cand = items + [e, last]
-                    hit = check(cand) or extend(cand)
-                    if hit is not None:
-                        return hit
-        return None
-
-    for s in states:
-        hit = check([s]) or extend([s])
-        if hit is not None:
-            return hit
-    return None
+                        detail=f"unbound logic variables {sorted(unbound)}")
+    if not (_right_linear(phi1) and _right_linear(phi2)):
+        return Included("unknown",
+                        detail="recursion outside the right-linear fragment")
+    info = _collect_alphabet([phi1, phi2])
+    valuations = _valuations(info)
+    if _work(info, valuations) > _WORK_LIMIT:
+        return Included("unknown", detail=(
+            f"{len(valuations)} constant valuations and "
+            f"{len(set(info['pvars']))} observed variables exceed the search limit"))
+    lefts = conjuncts(phi1)
+    for consts in valuations:
+        d = _Derivatives(_letters(info, consts), consts)
+        for right in conjuncts(phi2):
+            r = [d.compile(right)]
+            # a conjunct of phi1 inside phi2 settles it without the product
+            if len(lefts) > 1 and any(d.counterexample(d.compile(l), r) is None
+                                      for l in lefts):
+                continue
+            word = d.counterexample(d.compile(phi1), r)
+            if word is not None:
+                return Included("counterexample", counterexample=Trace(word),
+                                valuation=tuple(sorted(consts.items())))
+    return Included("included",
+                    bounded=any(_pool_may_miss(e) for e in info["preds"]))

@@ -360,14 +360,18 @@ def trace_to_json(trace: Trace) -> list:
 
 
 def trace_from_json(data: list) -> Trace:
+    if not isinstance(data, list):
+        raise MalformedTrace("a trace is a JSON list of items")
     items = []
     for entry in data:
-        kind = entry.get("kind")
-        if kind == "state":
-            items.append(State(entry.get("bindings", {})))
-        elif kind == "event":
-            items.append(Event(entry["tag"], name=entry.get("name"),
-                               id=entry.get("id"), file=entry.get("file")))
-        else:
-            raise ValueError(f"unknown trace item kind {kind!r}")
+        try:
+            if entry["kind"] == "state":
+                items.append(State(entry.get("bindings", {})))
+            elif entry["kind"] == "event":
+                items.append(Event(entry["tag"], name=entry.get("name"),
+                                   id=entry.get("id"), file=entry.get("file")))
+            else:
+                raise ValueError("unknown item kind")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedTrace(f"bad trace item {entry!r}: {exc}") from None
     return Trace(items)

@@ -8,11 +8,12 @@ leaf obligations are semantic update-vs-formula judgments discharged by one
 of two engines:
 
 * abstract: translate the update into a trace formula (run markers become
-  the callee's contracted internal behavior) and show bounded inclusion in
-  the target, first by a syntactic chain matcher and then by sampling
-  witness traces of the translation;
+  the callee's contracted internal behavior) and decide its inclusion in
+  the target with ``formula.included``, which is exact unless a predicate
+  outruns its value pool;
 * concrete: evaluate the update with real procedure bodies over sampled
-  initial states and check membership of every resulting trace.
+  initial states (and sampled traces of a havoc prefix) and check
+  membership of every resulting trace; its closures are bounded evidence.
 
 The abstract engine is the default; the concrete engine only backs it up
 for run-free updates, so that a proof never silently inlines a body that a
@@ -29,7 +30,8 @@ from . import formula as fm
 from .contracts import ContractDecl
 from .formula import (ALL_EVENTS, And, Chop, EventF, Formula, NoEv, Pred,
                       TConst, TLit, TRUE, WILDCARD, chop_chain, chop_of,
-                      included, member, normalize, strip_obs, subst_terms)
+                      conjuncts, included, member, normalize, strip_obs,
+                      subst_terms)
 from .interp import BoundExceeded, Configuration, _explore
 from .syntax import (Assign, AsyncCall, BinOp, Expr, FileOp, If, Lit, Not,
                      Program, Return, Skip, Stmt, SyncCall, Var, lookup, seq,
@@ -380,40 +382,7 @@ def instantiate_contract(c: ContractDecl, store: dict,
     return ContractInstance(c.name, pre, internal, post)
 
 
-# --- syntactic chain entailment -------------------------------------------------
-
-def _pattern_excludes_atom(excluded, atom) -> Optional[bool]:
-    """Whether a chain atom can sit inside a no-event segment."""
-    if isinstance(atom, Pred):
-        return True
-    if isinstance(atom, EventF):
-        if excluded is ALL_EVENTS:
-            return False
-        if _ground_term(atom.term) is None:
-            return None
-        return not any(_may_match(p, atom) for p in excluded)
-    if isinstance(atom, NoEv):
-        if excluded is ALL_EVENTS:
-            return atom.excluded is ALL_EVENTS
-        if atom.excluded is ALL_EVENTS:
-            return True
-        # every trace free of atom.excluded must be free of excluded
-        return all(any(_pattern_covers(q, p) for q in atom.excluded)
-                   for p in excluded)
-    if isinstance(atom, Chop):
-        results = [_pattern_excludes_atom(excluded, seg)
-                   for seg in chop_chain(atom)]
-        if all(r is True for r in results):
-            return True
-        return None if any(r is None for r in results) else False
-    if isinstance(atom, And):
-        a = _pattern_excludes_atom(excluded, atom.lhs)
-        b = _pattern_excludes_atom(excluded, atom.rhs)
-        if a or b:
-            return True
-        return None if (a is None or b is None) else False
-    return None
-
+# --- event-shape matching ---------------------------------------------------------
 
 def _witness_value(const_name: str) -> str:
     """The value a payload constant takes in witness traces and sampled
@@ -451,140 +420,13 @@ def _may_match(p: EventF, q: EventF) -> bool:
     return mine is WILDCARD or theirs is WILDCARD or mine == theirs
 
 
-def _pattern_covers(q: EventF, p: EventF) -> bool:
-    """Every event matched by p is matched by q (so excluding q excludes p)."""
-    if not set(p.trace_tags()) <= set(q.trace_tags()):
-        return False
-
-    def covers_field(qf, pf):
-        if qf is None or qf is WILDCARD:
-            return True
-        return qf == pf
-
-    return (covers_field(q.name, p.name) and covers_field(q.id, p.id)
-            and covers_field(q.payload, p.payload))
-
-
-def chain_entails(have: list, want: list) -> bool:
-    """Syntactic inclusion between normalized chop chains.
-
-    A no-event segment on the wanted side absorbs zero or more consecutive
-    compatible segments of the given side (zero-width absorption is the
-    boundary-state overlap of the chop); event atoms and predicates must
-    match an equal atom. Sound but incomplete: failure falls through to the
-    semantic engines.
-    """
-    from functools import lru_cache
-
-    n, m = len(have), len(want)
-
-    @lru_cache(maxsize=None)
-    def go(i, j):
-        if j == m:
-            return i == n
-        seg = want[j]
-        if isinstance(seg, NoEv):
-            if go(i, j + 1):  # absorb nothing
-                return True
-            k = i
-            while k < n:
-                fits = _pattern_excludes_atom(seg.excluded, have[k])
-                if fits is not True:
-                    return False
-                k += 1
-                if go(k, j + 1):
-                    return True
-            return False
-        if i < n and _atom_entails(have[i], seg):
-            return go(i + 1, j + 1)
-        return False
-
-    return go(0, 0)
-
-
-def _atom_entails(have_atom, want_atom) -> bool:
-    if have_atom == want_atom:
-        return True
-    if isinstance(want_atom, Pred) and want_atom.expr == TRUE:
-        # [true] denotes single states, so only state atoms entail it
-        return isinstance(have_atom, Pred)
-    if isinstance(have_atom, And):
-        return (_atom_entails(have_atom.lhs, want_atom)
-                or _atom_entails(have_atom.rhs, want_atom))
-    if isinstance(want_atom, And):
-        return (_atom_entails(have_atom, want_atom.lhs)
-                and _atom_entails(have_atom, want_atom.rhs))
-    if isinstance(have_atom, Chop) or isinstance(want_atom, Chop):
-        return chain_entails(chop_chain(have_atom), chop_chain(want_atom))
-    if isinstance(have_atom, EventF) and isinstance(want_atom, NoEv):
-        return _pattern_excludes_atom(want_atom.excluded, have_atom) is True
-    if isinstance(have_atom, NoEv) and isinstance(want_atom, NoEv):
-        return _pattern_excludes_atom(want_atom.excluded, have_atom) is True
-    return False
-
-
-def _have_expansions(chain: list, cap: int = 16, depth: int = 4) -> list:
-    """Alternative have-chains with conjunction atoms recursively replaced
-    by one of their conjuncts' chains. Weakening the have side is sound for
-    entailment and lets the matcher see through nested carried conjunctions."""
-    expansions = [[]]
-    for atom in chain:
-        if isinstance(atom, And) and depth > 0:
-            choices = []
-            for conj in _flatten_and(atom):
-                sub = chop_chain(normalize(conj))
-                choices.extend(_have_expansions(sub, cap=4, depth=depth - 1))
-            expansions = [e + c for e in expansions for c in choices]
-        else:
-            expansions = [e + [atom] for e in expansions]
-        if len(expansions) > cap:
-            expansions = expansions[:cap]
-    return expansions
-
-
-def entails_syntactically(have: Formula, want: Formula) -> bool:
-    have_n = normalize(have)
-    want_n = normalize(want)
-    if have_n == want_n:
-        return True
-    if isinstance(want_n, And):
-        return (entails_syntactically(have_n, want_n.lhs)
-                and entails_syntactically(have_n, want_n.rhs))
-    if isinstance(have_n, And):
-        # the have side denotes the intersection, so any conjunct suffices
-        if any(entails_syntactically(conj, want_n)
-               for conj in _flatten_and(have_n)):
-            return True
-    want_chain = chop_chain(want_n)
-    have_chain = chop_chain(have_n)
-    if chain_entails(have_chain, want_chain):
-        return True
-    if any(isinstance(a, And) for a in have_chain):
-        return any(chain_entails(exp, want_chain)
-                   for exp in _have_expansions(have_chain)
-                   if exp != have_chain)
-    return False
-
-
 # --- witness sampling of a chain's language -------------------------------------
 
-_WITNESS_STATE = State({})
-
-
-def _witness_events(chains) -> list:
-    events = set()
-    for chain in chains:
-        for atom in chain:
-            for ev in _atom_event_shapes(atom):
-                events.add(ev)
-    return sorted(events, key=repr)
-
-
-def _atom_event_shapes(atom) -> list:
-    if isinstance(atom, And):
-        return _atom_event_shapes(atom.lhs) + _atom_event_shapes(atom.rhs)
-    return [ev for p in fm.event_shapes(atom)
-            if _ground_term(p.term) is not None for ev in _shape_events(p)]
+def _witness_events(chain) -> list:
+    return sorted({ev for atom in chain for part in conjuncts(atom)
+                   for p in fm.event_shapes(part)
+                   if _ground_term(p.term) is not None
+                   for ev in _shape_events(p)}, key=repr)
 
 
 def _shape_events(p: EventF) -> list:
@@ -605,7 +447,7 @@ def _generation_chain(chain: list) -> Optional[list]:
     out = []
     for atom in chain:
         if isinstance(atom, And):
-            first = _flatten_and(atom)[0]
+            first = conjuncts(atom)[0]
             sub = _generation_chain(chop_chain(normalize(first)))
             if sub is None:
                 return None
@@ -617,22 +459,21 @@ def _generation_chain(chain: list) -> Optional[list]:
     return out
 
 
-def sample_chain_traces(chain: list, alphabet: list, cap: int = 600,
-                        sigma: Optional[State] = None) -> Optional[list]:
-    """A finite witness subset of a chop chain's well-formed traces.
+def sample_chain_traces(chain: list, sigma: State) -> Optional[list]:
+    """At most 600 witnesses of a chop chain's well-formed traces.
 
     Flexible segments are instantiated with a singleton state or with an
-    admissible alphabet event; event atoms yield their triple; other atoms
-    make sampling impossible (None). Witnesses carry at most two inserted
-    events beyond the chain's own, generated sparsest first, so single- and
-    double-event violations of an obligation are both exercised. All traces
-    share one state: predicates over constants decide membership, not state
-    contents.
+    admissible event of the chain's own atoms; event atoms yield their
+    triple; other atoms make sampling impossible (None). Witnesses carry at
+    most two inserted events beyond the chain's own, generated sparsest
+    first, so single- and double-event violations of an obligation are both
+    exercised. All traces share the state sigma: predicates over constants
+    decide membership, not state contents.
     """
     gen = _generation_chain(chain)
     if gen is None:
         return None
-    sigma = sigma if sigma is not None else _WITNESS_STATE
+    alphabet = _witness_events(chain)
     options_per_seg = []
     for atom in gen:
         opts = _atom_witness_options(atom, alphabet, sigma)
@@ -658,7 +499,7 @@ def sample_chain_traces(chain: list, alphabet: list, cap: int = 600,
         for k1 in range(1, len(options_per_seg[i])):
             for k2 in range(1, len(options_per_seg[j])):
                 out.append(build({i: k1, j: k2}))
-                if len(out) >= cap:
+                if len(out) >= 600:
                     return out
     return out
 
@@ -692,7 +533,6 @@ class Discharge:
     closed: bool
     evidence: str
     bounded: bool = False
-    counterexample: Optional[Trace] = None
 
 
 def _translate_update(context, gamma, update: Update) -> Optional[Formula]:
@@ -769,55 +609,48 @@ def _event_update_formula(u: UEvent) -> Formula:
     return EventF(u.tag, payload=term)
 
 
-def _sample_consts(formulas, max_valuations: int = 9) -> list:
-    """Constant valuations for membership checks during witness discharge.
+def _sample_consts(formulas) -> list:
+    """Constant valuations for membership checks in the concrete engine, at
+    most nine.
 
-    Constants used as event payloads take one opaque string each (witness
-    events use the same encoding, so matching is by identity); constants in
-    predicates or identifier positions range over the integers around the
-    comparison atoms, and closure must hold under every sampled valuation.
+    Constants used as event payloads take one opaque string each (the
+    sampled havoc events use the same encoding, so matching is by
+    identity); constants in predicates or identifier positions range over
+    the integers around the comparison atoms, and closure must hold under
+    every sampled valuation.
     """
     info = fm._collect_alphabet([phi for phi in formulas if phi is not None])
-    if not info["consts"]:
-        return [{}]
     ctx = {}
     for name, where in info["consts"]:
         ctx.setdefault(name, set()).add(where)
     ints = sorted(info["ints"]) or [0, 1]
     valuations = [{}]
     for name in sorted(ctx):
-        if ctx[name] <= {"file"}:
-            pool = [_witness_value(name)]
-        else:
-            pool = ints
-        valuations = [dict(v, **{name: x}) for v in valuations for x in pool]
-        if len(valuations) > max_valuations:
-            valuations = valuations[:max_valuations]
+        pool = [_witness_value(name)] if ctx[name] <= {"file"} else ints
+        valuations = [dict(v, **{name: x}) for v in valuations
+                      for x in pool][:9]
     return valuations
 
 
 def discharge_local(gamma: list, update: Update, phi: Formula,
                     mode: str = "abstract", context=None,
-                    program: Optional[Program] = None,
-                    bound: int = 12) -> Discharge:
+                    program: Optional[Program] = None) -> Discharge:
     """Decide the local update judgment ``update : phi`` under the context.
 
     Never closes unsoundly: both engines answer Open when out of their
-    depth, and witness-based closures are flagged as bounded evidence.
+    depth, and closures that rest on sampling or on a bounded value pool
+    are flagged as bounded evidence.
     """
     context = context or ProofContext(program)
     want = normalize(phi)
 
     if mode == "abstract":
         translated = _translate_update(context, gamma, update)
+        result = None
         if translated is not None:
-            if entails_syntactically(translated, want):
-                return Discharge(True, "antecedent chain matches the obligation")
-            result = _witness_check(translated, want, bound)
-            if result is not None and result.closed:
+            result = _inclusion_discharge(translated, want)
+            if result.closed:
                 return result
-        else:
-            result = None
         # concrete fallback, but only for run-free updates: evaluating a run
         # marker would inline the body a contract is meant to abstract
         if any(isinstance(u, URun) for u in update):
@@ -826,66 +659,27 @@ def discharge_local(gamma: list, update: Update, phi: Formula,
             return Discharge(
                 False, "abstract engine failed and the update contains run "
                        "markers (concrete evaluation would inline bodies)")
-        concrete = _discharge_concrete(gamma, update, want, context, program,
-                                       bound)
+        concrete = _discharge_concrete(gamma, update, want, context, program)
         if concrete.closed or result is None:
             return concrete
         return result
 
     if mode == "concrete":
-        return _discharge_concrete(gamma, update, want, context, program, bound)
+        return _discharge_concrete(gamma, update, want, context, program)
     raise ValueError(f"unknown discharge mode {mode!r}")
 
 
-def _witness_check(translated: Formula, want: Formula, bound: int) -> Optional[Discharge]:
-    """Bounded inclusion of each translation conjunct in the obligation.
-
-    The translation denotes the intersection of its top-level conjuncts; if
-    the sampled language of any single conjunct lies in the obligation, so
-    does the update's. A failing witness only rules that conjunct out, so
-    the verdict is Open only when every conjunct fails."""
-    t_norm = normalize(translated)
-    conjuncts = _flatten_and(t_norm) if isinstance(t_norm, And) else [t_norm]
-    last_failure = None
-    for conjunct in conjuncts:
-        chain = chop_chain(normalize(conjunct))
-        alphabet = _witness_events([chop_chain(normalize(want)), chain])
-        witnesses = sample_chain_traces(chain, alphabet)
-        if witnesses is None:
-            continue
-        valuations = _sample_consts([conjunct, want])
-        checked = 0
-        failed = None
-        for t in witnesses:
-            if len(t) > bound * 3:
-                continue
-            for consts in valuations:
-                try:
-                    if not member(t, conjunct, {}, consts):
-                        continue
-                    checked += 1
-                    if not member(t, want, {}, consts):
-                        failed = t
-                        break
-                except fm.FormulaError as exc:
-                    failed = t
-                    break
-            if failed is not None:
-                break
-        if failed is None and checked > 0:
-            return Discharge(True,
-                             f"{checked} witness traces all satisfy the obligation",
-                             bounded=True)
-        if failed is not None:
-            last_failure = failed
-    if last_failure is not None:
-        return Discharge(False,
-                         f"witness trace violates the obligation: {last_failure!r}",
-                         counterexample=last_failure)
-    return None
+def _inclusion_discharge(lhs: Formula, rhs: Formula) -> Discharge:
+    verdict = included(lhs, rhs)
+    if verdict.status == "included":
+        return Discharge(True, "language inclusion", bounded=verdict.bounded)
+    if verdict.status == "counterexample":
+        return Discharge(
+            False, f"counterexample to inclusion: {verdict.counterexample!r}")
+    return Discharge(False, f"inclusion unknown: {verdict.detail}")
 
 
-def _discharge_concrete(gamma, update, want, context, program, bound) -> Discharge:
+def _discharge_concrete(gamma, update, want, context, program) -> Discharge:
     if program is None:
         return Discharge(False, "concrete engine needs the program")
     sigma = _store_state(context)
@@ -901,8 +695,7 @@ def _discharge_concrete(gamma, update, want, context, program, bound) -> Dischar
         if bound_formula is None:
             return Discharge(False, "havoc prefix has no bounding judgment")
         chain = chop_chain(bound_formula)
-        alphabet = _witness_events([chain])
-        havoc_traces = sample_chain_traces(chain, alphabet, sigma=sigma)
+        havoc_traces = sample_chain_traces(chain, sigma)
         if havoc_traces is None:
             return Discharge(False, "cannot sample the havoc prefix language")
         rest = update[1:]
@@ -927,8 +720,7 @@ def _discharge_concrete(gamma, update, want, context, program, bound) -> Dischar
                 try:
                     if not member(t, want, {}, consts):
                         return Discharge(
-                            False, f"concrete trace violates the obligation: {t!r}",
-                            counterexample=t)
+                            False, f"concrete trace violates the obligation: {t!r}")
                 except fm.FormulaError as exc:
                     return Discharge(False, f"evaluation failed: {exc}")
     if checked == 0:
@@ -958,11 +750,10 @@ class ProofContext:
     symbolic store, instantiated callee contracts, and options."""
 
     def __init__(self, program=None, contracts=None, mode="abstract",
-                 bound=12, schedule_variant="auto", split_overrides=None):
+                 schedule_variant="auto", split_overrides=None):
         self.program = program
         self.contracts = contracts or {}
         self.mode = mode
-        self.bound = bound
         self.schedule_variant = schedule_variant
         self.store = {}
         self.run_instances = {}
@@ -1126,7 +917,7 @@ def select_split(target: Target, callee: ContractInstance, override=None):
             return prefix, chop_of(theta), (tail or [Pred(TRUE)])
         seg = chain[c]
         if isinstance(seg, And):
-            conj = _flatten_and(seg)
+            conj = conjuncts(seg)
             thetas, tails = [], []
             matched_any = False
             for part in conj:
@@ -1160,12 +951,6 @@ def select_split(target: Target, callee: ContractInstance, override=None):
     return prefix, NoEv(frozenset()), chain[c:]
 
 
-def _flatten_and(phi) -> list:
-    if isinstance(phi, And):
-        return _flatten_and(phi.lhs) + _flatten_and(phi.rhs)
-    return [phi]
-
-
 def _rebuild_target(target: Target, prefix, callee: ContractInstance,
                     rest) -> tuple:
     """Target after a call rule: (prefix /\\ pre) ** internal ** (rest /\\ post),
@@ -1197,28 +982,18 @@ def _rebuild_target(target: Target, prefix, callee: ContractInstance,
 
 def _discharge_node(gamma, update, phi, context, label) -> ProofNode:
     d = discharge_local(gamma, update, phi, mode=context.mode, context=context,
-                        program=context.program, bound=context.bound)
+                        program=context.program)
     status = CLOSED if d.closed else OPEN
     return ProofNode(rule=label,
                      conclusion=f"{update_repr(update)} : {normalize(phi)!r}",
                      status=status, evidence=d.evidence, bounded=d.bounded)
 
 
-def _included_node(lhs, rhs, context, label) -> ProofNode:
-    if entails_syntactically(lhs, rhs):
-        return ProofNode(rule=label, conclusion=f"{lhs!r} (= {rhs!r}",
-                         status=CLOSED, evidence="syntactic inclusion")
-    verdict = included(lhs, rhs, bound=min(context.bound, 7))
-    if verdict.status == "included":
-        return ProofNode(rule=label, conclusion=f"{lhs!r} (= {rhs!r}",
-                         status=CLOSED, evidence="bounded language inclusion",
-                         bounded=True)
-    if verdict.status == "counterexample":
-        return ProofNode(rule=label, conclusion=f"{lhs!r} (= {rhs!r}",
-                         status=OPEN,
-                         evidence=f"counterexample {verdict.counterexample!r}")
+def _included_node(lhs, rhs, label) -> ProofNode:
+    d = _inclusion_discharge(lhs, rhs)
     return ProofNode(rule=label, conclusion=f"{lhs!r} (= {rhs!r}",
-                     status=OPEN, evidence=f"inclusion unknown: {verdict.detail}")
+                     status=CLOSED if d.closed else OPEN, evidence=d.evidence,
+                     bounded=d.bounded)
 
 
 def apply_contract_rule(m: str, c: ContractDecl, gamma: list,
@@ -1388,7 +1163,7 @@ def _apply_call(gamma, update, callee: str, rest, target: Target, m: str,
     premises = []
     pre_target = inst.pre if not prefix else And(chop_of(prefix), inst.pre)
     premises.append(_discharge_node(gamma, update, pre_target, context, "CallPre"))
-    premises.append(_included_node(inst.internal, theta, context, "CallFit"))
+    premises.append(_included_node(inst.internal, theta, "CallFit"))
     u2 = update + (URun(callee, i, "sy"),)
     new_target, pre_part = _rebuild_target(target, prefix, inst, rest_chain)
     gamma2 = gamma + [LocalJudgment(
@@ -1428,7 +1203,7 @@ def _update_phase(gamma, update: Update, target: Target, m: str,
         if isinstance(clist, ContractDecl):
             clist = [clist]
         if rule == "actOrder" and clist:
-            clist = max_contracts(clist, bound=min(context.bound, 6))
+            clist = max_contracts(clist)
             context.notes.append(
                 "actOrder applies the maximal contracts of each schedulable "
                 "procedure; the ordering over scheduled pairs follows the "
@@ -1458,7 +1233,7 @@ def _schedule_premises(gamma, update, name, i, c: ContractDecl, target: Target,
     pre_target = inst.pre if not prefix else And(chop_of(prefix), inst.pre)
     premises.append(_discharge_node(gamma, update, pre_target, context,
                                     "SchedulePre"))
-    premises.append(_included_node(inst.internal, theta, context, "ScheduleFit"))
+    premises.append(_included_node(inst.internal, theta, "ScheduleFit"))
     u2 = update + (URun(name, i, "as"),)
     new_target, pre_part = _rebuild_target(target, prefix, inst, rest_chain)
     gamma2 = gamma + [LocalJudgment(
@@ -1484,8 +1259,7 @@ def apply_finish_rule(gamma, update: Update, target: Target, m: str,
 # --- whole-procedure verification ----------------------------------------------------
 
 def verify_procedure(program: Program, contracts: dict, m: str,
-                     mode: str = "abstract", bound: int = 12,
-                     schedule_variant: str = "auto",
+                     mode: str = "abstract", schedule_variant: str = "auto",
                      split_overrides=None) -> ProofNode:
     """Prove the weak-adherence contract judgment for one procedure."""
     if m not in contracts:
@@ -1494,7 +1268,7 @@ def verify_procedure(program: Program, contracts: dict, m: str,
     if isinstance(own, list):
         own = own[0]
     context = ProofContext(program=program, contracts=contracts, mode=mode,
-                           bound=bound, schedule_variant=schedule_variant,
+                           schedule_variant=schedule_variant,
                            split_overrides=split_overrides)
     gamma = [ContractJudgment(n, c if isinstance(c, ContractDecl) else c[0])
              for n, c in sorted(contracts.items()) if n != m]
@@ -1504,14 +1278,14 @@ def verify_procedure(program: Program, contracts: dict, m: str,
 
 
 def verify_program(program: Program, contracts: dict, mode: str = "abstract",
-                   bound: int = 12, schedule_variant: str = "auto") -> dict:
+                   schedule_variant: str = "auto") -> dict:
     """Proof trees for every procedure including init."""
     from .syntax import INIT_NAME
     names = [p.name for p in program.procedures] + [INIT_NAME]
     missing = [n for n in names if n not in contracts]
     if missing:
         raise VerifierError(f"missing contracts for: {missing}")
-    return {n: verify_procedure(program, contracts, n, mode=mode, bound=bound,
+    return {n: verify_procedure(program, contracts, n, mode=mode,
                                 schedule_variant=schedule_variant)
             for n in names}
 
@@ -1523,6 +1297,7 @@ class SubtypeVerdict:
     status: str  # "proved" | "disproved" | "unknown"
     failed_condition: Optional[str] = None  # "L1" | "L2" | "L3"
     counterexample: Optional[Trace] = None
+    bounded: bool = False  # some condition held only on a bounded value pool
 
     def __bool__(self):
         return self.status == "proved"
@@ -1554,30 +1329,31 @@ def _shared_skolem(c1: ContractDecl, c2: ContractDecl):
     return inst(c1, mapping1), inst(c2, mapping2)
 
 
-def subtype(c1: ContractDecl, c2: ContractDecl, bound: int = 6) -> SubtypeVerdict:
-    """Whether c1 is more general than c2 (conditions L1, L2, L3)."""
+def subtype(c1: ContractDecl, c2: ContractDecl) -> SubtypeVerdict:
+    """Whether c1 is more general than c2 (conditions L1, L2, L3).
+
+    "proved" needs all three inclusions decided exactly; one that holds only
+    on a bounded value pool makes the verdict "unknown" and ``bounded``."""
     shared = _shared_skolem(c1, c2)
     if shared is None:
         return SubtypeVerdict("unknown")
     (pre1, qa1, int1, qc1, post1), (pre2, qa2, int2, qc2, post2) = shared
 
-    l1 = included(normalize(Chop(pre1, Pred(qa1))),
-                  normalize(Chop(pre2, Pred(qa2))), bound=bound)
-    if l1.status == "counterexample":
-        return SubtypeVerdict("disproved", "L1", l1.counterexample)
-    l2 = included(normalize(Chop(int2, Pred(qc2))),
-                  normalize(Chop(int1, Pred(qc1))), bound=bound)
-    if l2.status == "counterexample":
-        return SubtypeVerdict("disproved", "L2", l2.counterexample)
-    l3 = included(normalize(post1), normalize(post2), bound=bound)
-    if l3.status == "counterexample":
-        return SubtypeVerdict("disproved", "L3", l3.counterexample)
-    if l1.status == l2.status == l3.status == "included":
+    verdicts = []
+    for name, lhs, rhs in (("L1", Chop(pre1, Pred(qa1)), Chop(pre2, Pred(qa2))),
+                           ("L2", Chop(int2, Pred(qc2)), Chop(int1, Pred(qc1))),
+                           ("L3", post1, post2)):
+        v = included(normalize(lhs), normalize(rhs))
+        if v.status == "counterexample":
+            return SubtypeVerdict("disproved", name, v.counterexample)
+        verdicts.append(v)
+    bounded = any(v.bounded for v in verdicts)
+    if all(v.status == "included" for v in verdicts) and not bounded:
         return SubtypeVerdict("proved")
-    return SubtypeVerdict("unknown")
+    return SubtypeVerdict("unknown", bounded=bounded)
 
 
-def max_contracts(contracts: list, bound: int = 6) -> list:
+def max_contracts(contracts: list) -> list:
     """Maximal elements under the more-general-than order; unknown
     comparisons count as incomparable."""
     result = []
@@ -1586,8 +1362,8 @@ def max_contracts(contracts: list, bound: int = 6) -> list:
         for other in contracts:
             if other is c:
                 continue
-            if subtype(other, c, bound=bound).status == "proved" \
-                    and subtype(c, other, bound=bound).status != "proved":
+            if subtype(other, c).status == "proved" \
+                    and subtype(c, other).status != "proved":
                 dominated = True
                 break
         if not dominated:

@@ -2,11 +2,13 @@
 
 The membership oracle decides trace membership by explicit split
 enumeration and bounded fixpoint unfolding — deliberately a different
-algorithm from the interval engine it validates.
+algorithm from the interval engine it validates. The inclusion oracle
+searches every short well-formed trace by brute force, where the library
+decides inclusion exactly with partial derivatives.
 """
 
 from catverify import formula as fm
-from catverify.trace import State
+from catverify.trace import FILE_TAGS, Event, State, Trace
 
 
 def member_oracle(items, phi, obs_env=None, consts=None, rho=None) -> bool:
@@ -118,3 +120,96 @@ def _event_matches(items, phi, obs_env, consts):
         return ident is fm.WILDCARD or ev.id == ident
     payload = value(phi.payload)
     return payload is fm.WILDCARD or ev.file == payload
+
+
+def included_oracle(phi1, phi2, bound=6, max_valuations=16):
+    """Bounded inclusion by brute force: a counterexample trace of at most
+    ``bound`` items, or None when none is found.
+
+    Depth-first search over well-formed traces built from the events the
+    formulas mention and a small state set, under at most
+    ``max_valuations`` constant valuations (strings for constants only in
+    file positions, otherwise integers around the literals and one above
+    them all). Every trace it returns is a real counterexample under the
+    returned valuation; finding none proves nothing.
+    """
+    info = fm._collect_alphabet([phi1, phi2])
+    strings = sorted(info["strings"]) + ["~other~"]
+    ints = sorted(info["ints"] | {x + d for x in info["id_lits"]
+                                  for d in (-1, 0, 1)}) or [0]
+    ints.append(ints[-1] + 2)
+    ids = sorted(info["id_lits"]) or [0]
+    contexts = {}
+    for name, ctx in info["consts"]:
+        contexts.setdefault(name, set()).add(ctx)
+    valuations = [{}]
+    for name in sorted(contexts):
+        pool = strings if contexts[name] <= {"file"} else ints
+        valuations = [dict(v, **{name: x}) for v in valuations
+                      for x in pool][:max_valuations]
+
+    for valuation in valuations:
+        events = set()
+        for ef in info["events"]:
+            term = ef.term
+            ground = None if term is None or term is fm.WILDCARD \
+                or isinstance(term, fm.TVar) else fm.eval_term(term, {}, valuation)
+            for tag in ef.trace_tags():
+                if tag in FILE_TAGS:
+                    events.update(Event(tag, file=v)
+                                  for v in ([ground] if ground is not None else strings)
+                                  if isinstance(v, str))
+                    continue
+                for v in ([ground] if ground is not None else ids):
+                    ident = max(0, int(v))
+                    if tag == "ret":
+                        events.add(Event(tag, id=ident))
+                    else:
+                        name = ef.name if isinstance(ef.name, str) else "m"
+                        events.add(Event(tag, name=name, id=ident))
+        events = sorted(events, key=repr)
+        states = [State({})]
+        for pv in sorted(set(info["pvars"])):
+            states = [s.update(pv, v) for s in states
+                      for v in list(ints) + strings][:24]
+        cex = _search_counterexample(phi1, phi2, states, events, bound,
+                                     valuation)
+        if cex is not None:
+            return cex, valuation
+    return None
+
+
+def _search_counterexample(phi1, phi2, states, events, bound, valuation):
+    """DFS over well-formed traces: first trace in phi1 but not in phi2."""
+
+    def check(items):
+        t = Trace(items)
+        try:
+            if fm.member(t, phi1, {}, valuation) \
+                    and not fm.member(t, phi2, {}, valuation):
+                return t
+        except fm.FormulaError:
+            return None
+        return None
+
+    def extend(items):
+        if len(items) >= bound:
+            return None
+        for s in states:
+            cand = items + [s]
+            hit = check(cand) or extend(cand)
+            if hit is not None:
+                return hit
+        if len(items) + 2 <= bound:
+            for e in events:
+                cand = items + [e, items[-1]]
+                hit = check(cand) or extend(cand)
+                if hit is not None:
+                    return hit
+        return None
+
+    for s in states:
+        hit = check([s]) or extend([s])
+        if hit is not None:
+            return hit
+    return None

@@ -123,20 +123,20 @@ def test_criterion_7_logic_engine():
 
 def test_criterion_8_liskov(files_contracts):
     for c in files_contracts.values():
-        assert subtype(c, c, bound=5).status == "proved"
+        assert subtype(c, c).status == "proved"
     y = TVar("y")
     strong = ContractDecl("c", ANY, (("x", "y"),), LBinOp(">", y, TLit(1)),
                           ANY, (), TRUE, ANY)
     weak = ContractDecl("c", ANY, (("x", "y"),), LBinOp(">", y, TLit(0)),
                         ANY, (), TRUE, ANY)
-    assert subtype(strong, weak, bound=4).status == "proved"
+    assert subtype(strong, weak).status == "proved"
     restrictive = ContractDecl(
         "c", ANY, (("file", "f"),), TRUE,
         NoEv(frozenset([EventF("close", payload=TVar("f"))])),
         (), TRUE, ANY)
     permissive = ContractDecl("c", ANY, (("file", "f"),), TRUE, ANY,
                               (), TRUE, ANY)
-    verdict = subtype(restrictive, permissive, bound=5)
+    verdict = subtype(restrictive, permissive)
     assert verdict.status == "disproved" and verdict.failed_condition == "L2"
     # three-element chain: the unique top survives
     top = trivial_contract("c")

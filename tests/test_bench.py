@@ -1,6 +1,8 @@
 """The benchmark's traced run wraps catverify functions by name (see
-`bench/spans.py`), so one small traced run keeps those names from being
-removed unnoticed."""
+`bench/spans.py`), so small traced runs keep those names from being removed
+unnoticed. The verify run also checks every verdict against the bench's
+known answers: the case study accepted, its weakened-closeF mutation open
+at `PostObligation`, and no acceptance the adherence oracle contradicts."""
 
 import json
 import subprocess
@@ -10,11 +12,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_traced_smoke_run():
+def _traced_smoke_run(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "subtype", "--smoke",
+        [sys.executable, "bench/run.py", "--workload", workload, "--smoke",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_bench_traced_smoke_run():
+    assert _traced_smoke_run("subtype")["correct"] is True
+
+
+def test_bench_verify_smoke_run_is_correct():
+    result = _traced_smoke_run("verify")
+    assert result["correct"] is True and result["failed"] == 0

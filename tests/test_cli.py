@@ -200,3 +200,42 @@ def test_env_var_default(monkeypatch, capsys):
     code, out = run_cli("run", f"{CORPUS}/files.async", capsys=capsys)
     assert code == 3  # bound exhausted surfaces as an error
     assert "step bound" in out.err
+
+
+def _verify_args(*extra):
+    return ("verify", "--program", f"{CORPUS}/files.async",
+            "--contracts", f"{CORPUS}/files.cat") + extra
+
+
+@pytest.mark.parametrize("argv, trace", [
+    (("check-member", "--formula", "mu X . obs x as y . X"), [{"kind": "state"}]),
+    (("check-member", "--formula", "~"), [{"kind": "event", "tag": "bogus"}]),
+    (("check-member", "--formula", "~"), {"a": 1}),
+    (_verify_args("--split", "1"), None),
+    (_verify_args("--bogus"), None),
+], ids=["recursion-across-obs", "bogus-event-tag", "trace-not-a-list",
+        "split-without-colon", "unknown-option"])
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, trace):
+    if trace is not None:
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        argv += ("--trace", str(path))
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 3
+    assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
+
+
+def test_trace_limit_applies_to_adhere_and_cross_check(tmp_path, capsys):
+    # fanout.async has four traces
+    cat = tmp_path / "fanout.cat"
+    cat.write_text("".join(
+        f"contract {n} {{ assume: ~; pre: [true]; internal: ~; "
+        f"post: [true]; continue: ~; }}\n"
+        for n in ("m", "m1", "m2", "m3", "m4", "init")))
+    program = ("--program", f"{CORPUS}/fanout.async", "--contracts", str(cat))
+    code, out = run_cli("verify", *program, capsys=capsys)
+    assert code == 0
+    for argv in (("adhere",) + program, ("verify",) + program + ("--cross-check",)):
+        code, out = run_cli(*argv, "--max-traces", "1", capsys=capsys)
+        assert code == 3, argv
+        assert out.err.startswith("error:")

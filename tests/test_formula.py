@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -8,9 +9,9 @@ from catverify import parse_formula
 from catverify.formula import (ALL_EVENTS, And, Chop, Concat, EventF,
                                Included, Mu, NoEv, NoEvItem, Obs,
                                Or, Pred, RecVar, TConst, TLit, TVar,
-                               UnboundLogicVar, UnboundProgramVar, included,
-                               member, noev_equiv_mu, noev_mu_encoding,
-                               normalize, skolemize)
+                               UnboundLogicVar, UnboundProgramVar, chop_of,
+                               included, member, noev_equiv_mu,
+                               noev_mu_encoding, normalize, skolemize)
 from catverify.gen import gen_formula, gen_raw_trace, gen_trace
 from catverify.trace import Event, State, Trace, singleton
 
@@ -291,14 +292,14 @@ def test_included_reflexive():
     for text in ("~", "~ open(\"f\") ~", "[true]",
                  "mu X . ( ~[*] \\/ ~[*] . X )"):
         phi = parse_formula(text)
-        assert included(phi, phi, bound=5)
+        assert included(phi, phi)
 
 
 def test_included_counterexample_event_free():
     # an open-requiring language is not included in the event-free one
     lhs = parse_formula('~ open("f") ~')
     rhs = parse_formula("~[*]")
-    verdict = included(lhs, rhs, bound=6)
+    verdict = included(lhs, rhs)
     assert verdict.status == "counterexample"
     assert member(verdict.counterexample, lhs)
     assert not member(verdict.counterexample, rhs)
@@ -306,19 +307,199 @@ def test_included_counterexample_event_free():
 
 def test_included_unconstrained_equals_padded_true():
     # the unconstrained segment and its [true]-padded form coincide
-    assert included(parse_formula("~"), parse_formula("~ [true]"), bound=5)
-    assert included(parse_formula("~ [true]"), parse_formula("~"), bound=5)
+    assert included(parse_formula("~"), parse_formula("~ [true]"))
+    assert included(parse_formula("~ [true]"), parse_formula("~"))
 
 
 def test_included_respects_constant_valuations():
     lhs = Chop(ANY, Pred(fm.LBinOp(">", TConst("c"), TLit(1))))
     rhs = Chop(ANY, Pred(fm.LBinOp(">", TConst("c"), TLit(0))))
-    assert included(lhs, rhs, bound=4)
-    assert included(rhs, lhs, bound=4).status == "counterexample"
+    assert included(lhs, rhs)
+    assert included(rhs, lhs).status == "counterexample"
 
 
 def test_included_unknown_on_open_formulas():
     assert included(RecVar("X"), ANY).status == "unknown"
+
+
+def _assert_counterexample(verdict, lhs, rhs):
+    assert verdict.status == "counterexample"
+    consts = dict(verdict.valuation)
+    assert member(verdict.counterexample, lhs, {}, consts)
+    assert not member(verdict.counterexample, rhs, {}, consts)
+
+
+def test_included_tells_two_constants_apart():
+    # an open of one unknown file is no open of another unknown file
+    lhs = chop_of([ANY, EventF("open", payload=TConst("c1")), ANY])
+    rhs = chop_of([ANY, EventF("open", payload=TConst("c2")), ANY])
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+    assert included(lhs, lhs)
+
+
+def test_included_sees_unequal_constants_in_a_predicate():
+    rhs = Chop(ANY, Pred(fm.LBinOp("==", TConst("a"), TConst("b"))))
+    _assert_counterexample(included(ANY, rhs), ANY, rhs)
+
+
+def test_included_gives_an_ordered_id_constant_every_value():
+    # c > 0 does not make ret(c) a ret(1): c = 2 is a counterexample
+    c, y = TConst("c"), TVar("y")
+    lhs = Chop(EventF("ret", id=c), Pred(fm.LBinOp(">", c, TLit(0))))
+    rhs = EventF("ret", id=TLit(1))
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+    # a constant only in a predicate reaches an id through an observation
+    lhs = Obs("x", "y", Chop(Pred(fm.LBinOp("==", y, c)), EventF("ret", id=y)))
+    rhs = Or(EventF("ret", id=TLit(0)), EventF("ret", id=TLit(1)))
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+    # an observed value strictly between 0 and 10 is neither 1 nor 9
+    between = Chop(Pred(fm.LBinOp(">", y, TLit(0))), Pred(fm.LBinOp("<", y, TLit(10))))
+    lhs = Obs("x", "y", Chop(between, EventF("ret", id=y)))
+    rhs = Or(EventF("ret", id=TLit(1)), EventF("ret", id=TLit(9)))
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+
+
+def test_included_separates_two_ordered_constants_in_one_gap():
+    # two constants below 0 need not be equal
+    c1, c2 = TConst("c1"), TConst("c2")
+    lhs = And(Chop(ANY, Pred(fm.LBinOp("<", c1, TLit(0)))),
+              Chop(ANY, Pred(fm.LBinOp("<", c2, TLit(0)))))
+    rhs = Chop(ANY, Pred(fm.LBinOp("==", c1, c2)))
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+
+
+def test_included_gives_up_rather_than_search_for_minutes():
+    # four ordered id constants give ~30000 valuations, three observed
+    # variables ~8000 state letters: "unknown" at once instead of a long run
+    consts = [TConst(f"d{i}") for i in range(4)]
+    many = ANY
+    for c in consts:
+        many = Chop(many, Chop(EventF("ret", id=c), Pred(fm.LBinOp(">", c, TLit(0)))))
+    observed = ANY
+    for i in range(3):
+        observed = Obs(f"x{i}", f"y{i}", Chop(
+            Pred(fm.LBinOp(">", TVar(f"y{i}"), TLit(i))), observed))
+    for phi in (many, observed):
+        start = time.perf_counter()
+        verdict = included(phi, phi)
+        assert verdict.status == "unknown" and "search limit" in verdict.detail
+        assert time.perf_counter() - start < 5
+    # three of those constants, or two observed variables, are decided
+    three = chop_of([ANY] + [Chop(EventF("ret", id=c), Pred(fm.LBinOp(">", c, TLit(0))))
+                             for c in consts[:3]])
+    assert included(three, three)
+    assert included(observed.body.rhs, observed.body.rhs)
+
+
+def test_included_is_exact_unless_a_predicate_orders_unknowns():
+    gt = Chop(ANY, Pred(fm.LBinOp(">", TConst("c"), TLit(1))))
+    assert not included(gt, gt).bounded
+    two = Chop(ANY, Pred(fm.LBinOp("<", TConst("c"), TConst("d"))))
+    verdict = included(two, two)
+    assert verdict.status == "included" and verdict.bounded
+
+
+def test_included_unknown_outside_the_right_linear_fragment():
+    # mu X . [true] \/ X . [true] recurses on the left of a sequence
+    phi = Mu("X", Or(Pred(TLit(True)), Concat(RecVar("X"), Pred(TLit(True)))))
+    verdict = included(phi, ANY)
+    assert verdict.status == "unknown" and "right-linear" in verdict.detail
+
+
+def test_included_decides_right_linear_recursion():
+    assert included(noev_mu_encoding(ALL_EVENTS), NoEv(ALL_EVENTS))
+    assert included(NoEv(ALL_EVENTS), noev_mu_encoding(ALL_EVENTS))
+    lhs = noev_mu_encoding(frozenset())
+    rhs = NoEv(frozenset([EventF("open", payload=TLit("fa"))]))
+    _assert_counterexample(included(lhs, rhs), lhs, rhs)
+
+
+def test_included_with_observations():
+    # the observed value of x decides the predicates
+    stronger = parse_formula("obs x as y . (~ ** [y > 1])")
+    weaker = parse_formula("obs x as y . (~ ** [y > 0])")
+    assert included(stronger, weaker)
+    verdict = included(weaker, stronger)
+    _assert_counterexample(verdict, weaker, stronger)
+    assert verdict.counterexample[0].get("x") == 1
+
+
+def test_included_pairs_start_scopes():
+    # a call and a push of different scopes are no activation
+    pair = Chop(EventF("call", "m", fm.WILDCARD), EventF("push", "m", fm.WILDCARD))
+    start = EventF("start", "m", fm.WILDCARD)
+    _assert_counterexample(included(pair, start), pair, start)
+    assert included(start, Or(pair, EventF("push", "m", fm.WILDCARD)))
+
+
+def _with_mu(rng, phi):
+    """The formula with some no-event segments replaced by their mu
+    encoding."""
+    if isinstance(phi, NoEv) and rng.random() < 0.3:
+        return noev_mu_encoding(phi.excluded)
+    if isinstance(phi, (And, Or, Concat, Chop)):
+        return type(phi)(_with_mu(rng, phi.lhs), _with_mu(rng, phi.rhs))
+    return phi
+
+
+def _gen_const_formula(rng, depth):
+    """Random formula over file constants c1, c2 and the literal "fa"."""
+    term = lambda: rng.choice([TConst("c1"), TConst("c2"), TLit("fa")])
+    if depth <= 0:
+        r = rng.random()
+        if r < 0.2:
+            return Pred(fm.LBinOp(rng.choice(("==", "!=")), TConst("c1"),
+                                  rng.choice([TConst("c2"), TLit("fa")])))
+        if r < 0.4:
+            return ANY
+        if r < 0.6:
+            return NoEv(frozenset([EventF(rng.choice(("open", "close")),
+                                          payload=term())]))
+        return EventF(rng.choice(("open", "close")), payload=term())
+    op = rng.choice((Chop, Chop, Concat, And, Or))
+    return op(_gen_const_formula(rng, depth - 1),
+              _gen_const_formula(rng, depth - 1))
+
+
+def _gen_id_formula(rng, depth):
+    """Random formula over constants d1, d2 that are both return ids and
+    ordered or compared in predicates, and the literals 0 and 1."""
+    term = lambda: rng.choice([TConst("d1"), TConst("d2"), TLit(1)])
+    if depth <= 0:
+        r = rng.random()
+        if r < 0.3:
+            return Pred(fm.LBinOp(rng.choice(("==", "!=", ">", "<")),
+                                  rng.choice([TConst("d1"), TConst("d2")]),
+                                  rng.choice([TConst("d2"), TLit(0), TLit(1)])))
+        if r < 0.45:
+            return ANY
+        if r < 0.6:
+            return NoEv(frozenset([EventF("ret", id=term())]))
+        return EventF("ret", id=term())
+    op = rng.choice((Chop, Chop, Concat, And, Or))
+    return op(_gen_id_formula(rng, depth - 1), _gen_id_formula(rng, depth - 1))
+
+
+def test_included_finds_every_counterexample_the_oracle_finds():
+    from tests.oracles import included_oracle
+    rng = random.Random(131)
+    pairs = [(_with_mu(rng, gen_formula(rng, depth=rng.randint(1, 3))),
+              _with_mu(rng, gen_formula(rng, depth=rng.randint(1, 3))))
+             for _ in range(150)]
+    pairs += [(_gen_const_formula(rng, rng.randint(1, 3)),
+               _gen_const_formula(rng, rng.randint(1, 3))) for _ in range(150)]
+    pairs += [(_gen_id_formula(rng, rng.randint(1, 3)),
+               _gen_id_formula(rng, rng.randint(1, 3))) for _ in range(150)]
+    found = 0
+    for lhs, rhs in pairs:
+        verdict = included(lhs, rhs)
+        assert verdict.status in ("included", "counterexample")
+        if verdict.status == "counterexample":
+            _assert_counterexample(verdict, lhs, rhs)
+        if included_oracle(lhs, rhs, bound=5, max_valuations=64) is not None:
+            found += 1
+            assert verdict.status == "counterexample", (lhs, rhs)
+    assert found >= 100
 
 
 # --- surface syntax -----------------------------------------------------------------

@@ -14,9 +14,9 @@ from catverify.trace import Event, State, Trace, schedule, singleton
 from catverify.verifier import (ContractJudgment, HavocPresent, LocalJudgment,
                                 ProofContext, Target, UAssign, UEvent, UHavoc,
                                 URun, VerifierError, apply_finish_rule,
-                                discharge_local, entails_syntactically,
-                                eval_update, max_contracts, schedule_update,
-                                subtype, update_repr, validate_update,
+                                discharge_local, eval_update, max_contracts,
+                                schedule_update, subtype, update_repr,
+                                validate_update,
                                 verify_procedure, verify_program)
 
 S0 = State({})
@@ -362,30 +362,48 @@ def test_caller_open_flows_through_sync_and_async_callees():
         n: t.accepted for n, t in trees.items()}
 
 
-def test_second_open_knowledge_survives_run_judgments():
-    # after one callee is scheduled, the pre-trace discharge for the next
-    # still knows about the caller's second open
-    program = parse_program("""
+_TWO_READERS = """
     ra() { read("a"); return }
     rb() { read("b"); return }
     boss() { open("a"); open("b"); !ra(); !rb(); return }
     { boss() }
-    """)
-    contracts = {c.name: c for c in parse_contracts("""
-    contract ra {
+    """
+
+
+def _two_reader_contracts(ra_internal, rb_internal):
+    return {c.name: c for c in parse_contracts(f"""
+    contract ra {{
       assume: ~ open("a") ~[close("a")]; pre: [true];
-      internal: read("a") ~; post: [true]; continue: ~;
-    }
-    contract rb {
+      internal: {ra_internal}; post: [true]; continue: ~;
+    }}
+    contract rb {{
       assume: ~ open("b") ~[close("b")]; pre: [true];
-      internal: read("b") ~; post: [true]; continue: ~;
-    }
-    contract boss { assume: ~; pre: [true]; internal: ~; post: [true]; continue: ~; }
-    contract init { assume: ~; pre: [true]; internal: ~; post: [true]; continue: ~; }
+      internal: {rb_internal}; post: [true]; continue: ~;
+    }}
+    contract boss {{ assume: ~; pre: [true]; internal: ~; post: [true]; continue: ~; }}
+    contract init {{ assume: ~; pre: [true]; internal: ~; post: [true]; continue: ~; }}
     """)}
-    trees = verify_program(program, contracts)
+
+
+def test_second_open_knowledge_survives_run_judgments():
+    # after one callee is scheduled, the pre-trace discharge for the next
+    # still knows about the caller's second open, which neither callee's
+    # contract lets it close
+    contracts = _two_reader_contracts('read("a") ~[close("b")]',
+                                      'read("b") ~[close("a")]')
+    trees = verify_program(parse_program(_TWO_READERS), contracts)
     assert all(t.accepted for t in trees.values()), {
         n: t.accepted for n, t in trees.items()}
+
+
+def test_callee_contract_that_may_close_the_next_callees_file_stays_open():
+    # a callee contract that allows any events after its read may close the
+    # other callee's file, so that callee's pre-trace is not provable
+    contracts = _two_reader_contracts('read("a") ~', 'read("b") ~')
+    tree = verify_procedure(parse_program(_TWO_READERS), contracts, "boss")
+    leaves = tree.open_leaves()
+    assert leaves and all(leaf.rule == "SchedulePre" for leaf in leaves)
+    assert all("close" in leaf.evidence for leaf in leaves)
 
 
 def test_weakened_closeF_opens_do_final_obligation(files_program,
@@ -552,16 +570,16 @@ def _state_contract(pre_pred, post_pred, binders=(("x", "y"),)):
 
 def test_subtype_reflexive(files_contracts):
     for c in files_contracts.values():
-        assert subtype(c, c, bound=5).status == "proved"
+        assert subtype(c, c).status == "proved"
 
 
 def test_subtype_state_contract_reduction():
     from catverify.formula import LBinOp
     stronger_pre = _state_contract(LBinOp(">", TVar("y"), TLit(1)), TRUE)
     weaker_pre = _state_contract(LBinOp(">", TVar("y"), TLit(0)), TRUE)
-    verdict = subtype(stronger_pre, weaker_pre, bound=4)
+    verdict = subtype(stronger_pre, weaker_pre)
     assert verdict.status == "proved"
-    assert subtype(weaker_pre, stronger_pre, bound=4).status == "disproved"
+    assert subtype(weaker_pre, stronger_pre).status == "disproved"
 
 
 def test_subtype_internal_exclusion_disproved_at_l2():
@@ -569,10 +587,10 @@ def test_subtype_internal_exclusion_disproved_at_l2():
                       NoEv(frozenset([EventF("close", payload=TVar("f"))])),
                       (), TRUE, ANY)
     c2 = ContractDecl("c", ANY, (("file", "f"),), TRUE, ANY, (), TRUE, ANY)
-    verdict = subtype(c1, c2, bound=5)
+    verdict = subtype(c1, c2)
     assert verdict.status == "disproved" and verdict.failed_condition == "L2"
     # the more general contract has the larger internal language
-    assert subtype(c2, c1, bound=5).status == "proved"
+    assert subtype(c2, c1).status == "proved"
 
 
 def test_subtype_mismatched_binders_unknown():
