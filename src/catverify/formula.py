@@ -1,18 +1,16 @@
 """Fixed-point trace logic: formula AST, finite-trace membership, and
 language inclusion.
 
-Membership of a concrete trace in a formula's denotation is decided by an
-interval algorithm: for every subformula we compute the set of index
-intervals ``(i, j)`` of the trace it denotes. Sequencing splits intervals
-adjacently (concatenation) or overlapping on one shared state position
-(chop); recursion is solved by Kleene iteration over interval sets, which
-terminates because a finite trace has finitely many intervals.
-
-Inclusion is decided exactly for the regular fragment: under each constant
-valuation from a finite pool, Antimirov partial derivatives give automata
-over a finite alphabet of trace items, and a breadth-first antichain search
-(De Wulf, Doyen, Henzinger and Raskin) finds the shortest well-formed
-counterexample trace, if there is one.
+Both questions are answered by one automaton: Antimirov partial
+derivatives of formulas over trace items, residual terms interned as ints.
+Membership of a concrete trace runs it over the trace's items, one letter
+per distinct item, and accepts when a residual is nullable (derivative-based
+monitoring, as in Rosu and Havelund). Inclusion is decided exactly for the
+regular fragment: under each constant valuation from a finite pool, the
+automata run over a finite alphabet of trace items, and a breadth-first
+antichain search (De Wulf, Doyen, Henzinger and Raskin) finds the shortest
+well-formed counterexample trace, if there is one. Recursion must be
+right-linear for both.
 """
 
 from __future__ import annotations
@@ -439,162 +437,6 @@ def validate_no_recvar_under_obs(phi) -> None:
     walk(phi, frozenset(), frozenset())
 
 
-# --- interval semantics ---------------------------------------------------
-
-class _Denoter:
-    def __init__(self, trace: Trace, consts):
-        self.items = trace.items
-        self.n = len(self.items)
-        self.consts = consts or {}
-        self.memo = {}
-        self.state_positions = tuple(
-            i for i, it in enumerate(self.items) if isinstance(it, State))
-
-    def denote(self, phi, obs_env, rho) -> frozenset:
-        fv = free_lvars(phi)
-        rv = free_recvars(phi)
-        obs_key = tuple(sorted(((y, obs_env[y][0], obs_env[y][1])
-                                for y in fv if y in obs_env),
-                               key=lambda e: e[0]))
-        rho_key = tuple(sorted(((x, rho[x]) for x in rv if x in rho),
-                               key=lambda e: e[0]))
-        key = (id(phi), obs_key, rho_key)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._compute(phi, obs_env, rho)
-        self.memo[key] = result
-        return result
-
-    def _compute(self, phi, obs_env, rho) -> frozenset:
-        items, n = self.items, self.n
-        if isinstance(phi, Pred):
-            if pred_holds(phi.expr, obs_env, self.consts):
-                return frozenset((k, k) for k in self.state_positions)
-            return frozenset()
-        if isinstance(phi, RecVar):
-            if phi.name not in rho:
-                raise FormulaError(f"unbound recursion variable {phi.name!r}")
-            return rho[phi.name]
-        if isinstance(phi, NoEv):
-            return self._noev_intervals(phi.excluded, obs_env)
-        if isinstance(phi, NoEvItem):
-            out = set()
-            for k, it in enumerate(items):
-                if isinstance(it, State) or not _excludes(
-                        phi.excluded, it, obs_env, self.consts):
-                    out.add((k, k))
-            return frozenset(out)
-        if isinstance(phi, EventF):
-            return self._event_intervals(phi, obs_env)
-        if isinstance(phi, And):
-            return self.denote(phi.lhs, obs_env, rho) & self.denote(phi.rhs, obs_env, rho)
-        if isinstance(phi, Or):
-            return self.denote(phi.lhs, obs_env, rho) | self.denote(phi.rhs, obs_env, rho)
-        if isinstance(phi, Concat):
-            left = self.denote(phi.lhs, obs_env, rho)
-            right = self.denote(phi.rhs, obs_env, rho)
-            by_start = {}
-            for (a, b) in right:
-                by_start.setdefault(a, []).append(b)
-            out = set()
-            for (a, k) in left:
-                for b in by_start.get(k + 1, ()):
-                    out.add((a, b))
-            return frozenset(out)
-        if isinstance(phi, Chop):
-            left = self.denote(phi.lhs, obs_env, rho)
-            right = self.denote(phi.rhs, obs_env, rho)
-            by_start = {}
-            for (a, b) in right:
-                by_start.setdefault(a, []).append(b)
-            out = set()
-            for (a, k) in left:
-                if isinstance(items[k], State):
-                    for b in by_start.get(k, ()):
-                        out.add((a, b))
-            return frozenset(out)
-        if isinstance(phi, Mu):
-            current = frozenset()
-            while True:
-                nxt = self.denote(phi.body, obs_env, {**rho, phi.var: current})
-                if nxt == current:
-                    return current
-                if not (current <= nxt):
-                    # monotone by construction; defensive check
-                    raise FormulaError("non-monotone fixpoint iteration")
-                current = nxt
-        if isinstance(phi, Obs):
-            out = set()
-            for a in self.state_positions:
-                env2 = {**obs_env, phi.lvar: (phi.pvar, items[a])}
-                for (i, j) in self.denote(phi.body, env2, rho):
-                    if i == a:
-                        out.add((i, j))
-            return frozenset(out)
-        raise TypeError(f"not a formula: {phi!r}")
-
-    def _noev_intervals(self, excluded, obs_env) -> frozenset:
-        items, n = self.items, self.n
-        bad = [isinstance(it, Event) and _excludes(excluded, it, obs_env, self.consts)
-               for it in items]
-        out = set()
-        for i in range(n):
-            if bad[i]:
-                continue
-            j = i
-            while j < n and not bad[j]:
-                out.add((i, j))
-                j += 1
-        return frozenset(out)
-
-    def _event_intervals(self, phi: EventF, obs_env) -> frozenset:
-        items = self.items
-        value = phi.value(obs_env, self.consts)
-        hits = {}  # first position of each event triple the shape matches
-        for a in range(self.n - 2):
-            ev = items[a + 1]
-            if (isinstance(ev, Event) and phi.fits(ev) and phi.has_value(ev, value)
-                    and isinstance(items[a], State) and items[a] == items[a + 2]):
-                hits[a] = ev
-        if phi.tag != "start":
-            return frozenset((a, a + 2) for a in hits)
-        # an activation push (asynchronous scheduling), or a call chopped
-        # with the push of the same scope (synchronous activation)
-        out = set()
-        for a, ev in hits.items():
-            if ev.tag == "push":
-                out.add((a, a + 2))
-            else:
-                nxt = hits.get(a + 2)
-                if nxt is not None and nxt.tag == "push" \
-                        and nxt.scope() == ev.scope():
-                    out.add((a, a + 4))
-        return frozenset(out)
-
-
-def denotation(trace: Trace, phi, obs_env=None, consts=None) -> frozenset:
-    """All intervals (i, j) of the trace denoted by the formula."""
-    d = _Denoter(trace, consts)
-    return d.denote(phi, dict(obs_env or {}), {})
-
-
-def member(trace: Trace, phi, obs_env=None, consts=None) -> bool:
-    """Whether the whole trace lies in the formula's denotation."""
-    if trace.is_empty():
-        return False
-    d = _Denoter(trace, consts)
-    whole = (0, len(trace) - 1)
-    return whole in d.denote(phi, dict(obs_env or {}), {})
-
-
-def noev_equiv_mu(excluded, trace: Trace):
-    """Membership via the primitive segment and via its mu encoding."""
-    prim = member(trace, NoEv(excluded))
-    enc = member(trace, noev_mu_encoding(excluded))
-    return prim, enc
-
-
 # --- substitution and skolemization --------------------------------------
 
 def subst_terms(phi, mapping):
@@ -986,11 +828,13 @@ class _Derivatives:
     empty word included. ``Chop`` continues into its right side on the shared
     state letter; an event atom expects its event and then its first state;
     ``mu`` unfolds with its variable bound to itself; ``obs`` substitutes the
-    value its state letter gives the observed variable."""
+    value its state letter gives the observed variable. Letters are the
+    given trace items and any added by ``letter``."""
 
     def __init__(self, letters, consts):
-        self.letters = letters
-        self.is_state = [isinstance(a, State) for a in letters]
+        self.letters, self.is_state, self.letter_ids = [], [], {}
+        for item in letters:
+            self.letter(item)
         self.consts = consts
         self.terms, self.ids = [], {}
         self.nodes = {}      # id(node) -> node, keeps compiled nodes alive
@@ -999,6 +843,14 @@ class _Derivatives:
         self.active = set()  # (mu term, letter) being unfolded
         self.observed = {}   # (obs node id, value) -> term of the body
         self.eps = self.intern(("eps",))
+
+    def letter(self, item) -> int:
+        """The letter of a trace item, added to the alphabet when new."""
+        if item not in self.letter_ids:
+            self.letter_ids[item] = len(self.letters)
+            self.letters.append(item)
+            self.is_state.append(isinstance(item, State))
+        return self.letter_ids[item]
 
     def intern(self, term) -> int:
         if term not in self.ids:
@@ -1070,6 +922,10 @@ class _Derivatives:
             self.memo[key] = out
         return out
 
+    def read(self, terms, a) -> frozenset:
+        """The residuals of a set of terms after letter a."""
+        return frozenset().union(*(self.step(t, a) for t in terms))
+
     def _step(self, term, a) -> frozenset:
         kind, state, eps = term[0], self.is_state[a], frozenset([self.eps])
         if kind == "Pred":
@@ -1103,8 +959,11 @@ class _Derivatives:
                 out |= self.step(term[2], a)
             return frozenset(out)
         if kind == "Obs" and state:
-            node = self.nodes[term[1]]
-            value = self.letters[a].get(node.pvar)
+            node, item = self.nodes[term[1]], self.letters[a]
+            if node.pvar not in item and node.lvar in free_lvars(node.body):
+                raise UnboundProgramVar(
+                    f"observed program variable {node.pvar!r} is unbound in its state")
+            value = item.get(node.pvar)
             key = (term[1], type(value).__name__, value)
             if key not in self.observed:
                 self.observed[key] = self.compile(
@@ -1159,7 +1018,7 @@ class _Derivatives:
                     continue
                 lefts = self.step(p, a)
                 if lefts:
-                    rights2 = frozenset().union(*(self.step(q, a) for q in rights))
+                    rights2 = self.read(rights, a)
                 for p2 in lefts:
                     seen = antichain.setdefault((p2, nxt), [])
                     if not any(old <= rights2 for old in seen):
@@ -1211,3 +1070,59 @@ def included(phi1, phi2) -> Included:
                                 valuation=tuple(sorted(consts.items())))
     return Included("included",
                     bounded=any(_pool_may_miss(e) for e in info["preds"]))
+
+
+# --- membership -------------------------------------------------------------
+
+def _monitor(trace: Trace, phi, consts):
+    """An automaton for the formula and the trace's items as its letters."""
+    unbound = free_recvars(phi)
+    if unbound:
+        raise FormulaError(f"unbound recursion variable {min(unbound)!r}")
+    unbound = free_lvars(phi)
+    if unbound:
+        raise UnboundLogicVar(f"logic variable {min(unbound)!r} is unbound")
+    if not _right_linear(phi):
+        raise FormulaError("recursion outside the right-linear fragment")
+    d = _Derivatives([], consts or {})
+    return d, [d.letter(item) for item in trace.items]
+
+
+def member(trace: Trace, phi, consts=None) -> bool:
+    """Whether the whole trace lies in the formula's denotation: each
+    top-level conjunct's automaton reads the trace and must end on a
+    nullable residual."""
+    d, word = _monitor(trace, phi, consts)
+    for start in [d.compile(part) for part in conjuncts(phi)]:
+        residuals = {start}
+        for a in word:
+            residuals = d.read(residuals, a)
+            if not residuals:
+                return False
+        if not any(d.nullable(t) for t in residuals):
+            return False
+    return True
+
+
+def denotation(trace: Trace, phi, consts=None) -> frozenset:
+    """All intervals (i, j) of the trace the formula denotes: the automaton
+    run from every start. Only the benchmark's span tracer
+    (``bench/spans.py``) refers to it."""
+    d, word = _monitor(trace, phi, consts)
+    start, out = d.compile(phi), set()
+    for i in range(len(word)):
+        residuals = {start}
+        for j in range(i, len(word)):
+            residuals = d.read(residuals, word[j])
+            if not residuals:
+                break
+            if any(d.nullable(t) for t in residuals):
+                out.add((i, j))
+    return frozenset(out)
+
+
+def noev_equiv_mu(excluded, trace: Trace):
+    """Membership via the primitive segment and via its mu encoding."""
+    prim = member(trace, NoEv(excluded))
+    enc = member(trace, noev_mu_encoding(excluded))
+    return prim, enc

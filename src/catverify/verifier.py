@@ -706,7 +706,7 @@ def _discharge_concrete(gamma, update, want, context, program) -> Discharge:
         for hv in havoc_traces:
             if hv is not None:
                 try:
-                    if not member(hv, bound_formula, {}, consts):
+                    if not member(hv, bound_formula, consts):
                         continue  # not actually in the havoc's language
                 except fm.FormulaError:
                     continue
@@ -718,7 +718,7 @@ def _discharge_concrete(gamma, update, want, context, program) -> Discharge:
             for t in results:
                 checked += 1
                 try:
-                    if not member(t, want, {}, consts):
+                    if not member(t, want, consts):
                         return Discharge(
                             False, f"concrete trace violates the obligation: {t!r}")
                 except fm.FormulaError as exc:

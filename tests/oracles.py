@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 The membership oracle decides trace membership by explicit split
-enumeration and bounded fixpoint unfolding — deliberately a different
-algorithm from the interval engine it validates. The inclusion oracle
+enumeration and bounded fixpoint unfolding over an environment of observed
+states — the interval semantics, and deliberately a different algorithm
+from the partial-derivative automaton the library runs. The inclusion oracle
 searches every short well-formed trace by brute force, where the library
 decides inclusion exactly with partial derivatives.
 """
@@ -185,8 +186,8 @@ def _search_counterexample(phi1, phi2, states, events, bound, valuation):
     def check(items):
         t = Trace(items)
         try:
-            if fm.member(t, phi1, {}, valuation) \
-                    and not fm.member(t, phi2, {}, valuation):
+            if fm.member(t, phi1, valuation) \
+                    and not fm.member(t, phi2, valuation):
                 return t
         except fm.FormulaError:
             return None

@@ -1,8 +1,10 @@
 """The benchmark's traced run wraps catverify functions by name (see
 `bench/spans.py`), so small traced runs keep those names from being removed
-unnoticed. The verify run also checks every verdict against the bench's
-known answers: the case study accepted, its weakened-closeF mutation open
-at `PostObligation`, and no acceptance the adherence oracle contradicts."""
+unnoticed. The verify and adhere runs also check every verdict against the
+bench's known answers: for verify, the case study accepted, its
+weakened-closeF mutation open at `PostObligation`, and no acceptance the
+adherence oracle contradicts; for adhere, the planted violations
+blamed at their clauses and no others."""
 
 import json
 import subprocess
@@ -27,4 +29,9 @@ def test_bench_traced_smoke_run():
 
 def test_bench_verify_smoke_run_is_correct():
     result = _traced_smoke_run("verify")
+    assert result["correct"] is True and result["failed"] == 0
+
+
+def test_bench_adhere_smoke_run_is_correct():
+    result = _traced_smoke_run("adhere")
     assert result["correct"] is True and result["failed"] == 0

@@ -209,12 +209,14 @@ def _verify_args(*extra):
 
 @pytest.mark.parametrize("argv, trace", [
     (("check-member", "--formula", "mu X . obs x as y . X"), [{"kind": "state"}]),
+    (("check-member", "--formula", "mu X . [true] \\/ X . [true]"),
+     [{"kind": "state"}]),
     (("check-member", "--formula", "~"), [{"kind": "event", "tag": "bogus"}]),
     (("check-member", "--formula", "~"), {"a": 1}),
     (_verify_args("--split", "1"), None),
     (_verify_args("--bogus"), None),
-], ids=["recursion-across-obs", "bogus-event-tag", "trace-not-a-list",
-        "split-without-colon", "unknown-option"])
+], ids=["recursion-across-obs", "recursion-not-right-linear", "bogus-event-tag",
+        "trace-not-a-list", "split-without-colon", "unknown-option"])
 def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, trace):
     if trace is not None:
         path = tmp_path / "trace.json"

@@ -11,7 +11,8 @@ from catverify.formula import (ALL_EVENTS, And, Chop, Concat, EventF,
                                Or, Pred, RecVar, TConst, TLit, TVar,
                                UnboundLogicVar, UnboundProgramVar, chop_of,
                                included, member, noev_equiv_mu,
-                               noev_mu_encoding, normalize, skolemize)
+                               noev_mu_encoding, normalize, skolemize,
+                               subst_terms)
 from catverify.gen import gen_formula, gen_raw_trace, gen_trace
 from catverify.trace import Event, State, Trace, singleton
 
@@ -51,9 +52,29 @@ def test_member_operate_pre_trace_on_files_trace(files_program, files_contracts)
     assert member(prefix, pre)
 
 
+def test_member_is_linear_in_the_trace_length():
+    # 1111 items that observe x at every state: the automaton reads each
+    # item once, where building every (i, j) interval of every subformula
+    # is cubic in the trace length
+    items = []
+    for i in range(370):
+        s = State({"x": i % 5})
+        items += [s, Event("write", file="f"), s]
+    t = Trace(items + [State({"x": 0})])
+    phi = parse_formula('~ ** obs x as y . (write("f") ~[open("f")])')
+    start = time.perf_counter()
+    assert member(t, phi)
+    assert not member(t, parse_formula('~ ** obs x as y . (write("g") ~)'))
+    assert time.perf_counter() - start < 2
+
+
 def test_member_errors():
     with pytest.raises(UnboundLogicVar):
         member(singleton(S0), Pred(fm.LBinOp(">", TVar("y"), TLit(0))))
+    # also where the automaton never reads the variable
+    with pytest.raises(UnboundLogicVar):
+        member(Trace([S0, S0]), Concat(Pred(TLit(False)),
+                                       NoEv(frozenset([EventF("ret", id=TVar("y"))]))))
     with pytest.raises(UnboundProgramVar):
         member(Trace([S0, S0]), Obs("zz", "y",
                                     Chop(Pred(fm.LBinOp(">", TVar("y"), TLit(0))),
@@ -163,6 +184,90 @@ def test_interval_engine_agrees_with_oracle_on_random_formulas():
         assert member(t, phi) == member_oracle(t.items, phi), (t, phi)
 
 
+_X_VALUES = (0, 1, "fa")
+
+
+def _gen_monitor_formula(rng, depth, bound=()):
+    """Random formula with what gen_formula lacks: observations of x bound to
+    logic variables used in predicates and event fields, right-linear
+    recursion, start atoms and the constant c. ``bound`` lists the logic
+    variables in scope."""
+    term = lambda: rng.choice([TConst("c"), TLit(0), TLit(1), TLit("fa")]
+                              + [TVar(y) for y in bound] * 2)
+
+    def shape():
+        r = rng.random()
+        if r < 0.3:
+            return EventF("start", rng.choice(("m", fm.WILDCARD)),
+                          rng.choice((term(), fm.WILDCARD)))
+        if r < 0.6:
+            return EventF("ret", id=term())
+        return EventF(rng.choice(("open", "close")), payload=term())
+
+    if depth <= 0:
+        r = rng.random()
+        if r < 0.25:
+            return Pred(fm.LBinOp(rng.choice(("==", "!=", ">", "<")), term(), term()))
+        if r < 0.35:
+            return ANY
+        if r < 0.5:
+            return NoEv(frozenset([shape()]))
+        if r < 0.6:
+            return noev_mu_encoding(rng.choice((frozenset([shape()]), ALL_EVENTS)))
+        return shape()
+    r = rng.random()
+    if r < 0.2:
+        y = f"y{len(bound)}"
+        return Obs("x", y, _gen_monitor_formula(rng, depth - 1, bound + (y,)))
+    if r < 0.35:
+        # right-linear: X only at the right end of a sequence
+        seq = rng.choice((Concat, Chop))
+        return Mu("X", Or(_gen_monitor_formula(rng, depth - 1, bound),
+                          seq(_gen_monitor_formula(rng, depth - 1, bound), RecVar("X"))))
+    op = rng.choice((Chop, Chop, Concat, And, Or))
+    return op(_gen_monitor_formula(rng, depth - 1, bound),
+              _gen_monitor_formula(rng, depth - 1, bound))
+
+
+def _gen_monitor_trace(rng, max_len):
+    """A trace whose states vary x, with sync activations (a call and the
+    push of its scope), async ones (a lone push), calls followed by another
+    scope's push, and some ill-formed items."""
+    states = [State({"x": v}) for v in _X_VALUES]
+    events = [Event("open", file="fa"), Event("close", file="fa"),
+              Event("ret", id=0), Event("ret", id=1), Event("push", name="m", id=1),
+              Event("push", name="n", id=0), Event("call", name="m", id=0)]
+    items = [rng.choice(states)]
+    while len(items) < max_len:
+        r = rng.random()
+        if r < 0.3:
+            items.append(rng.choice(states))
+        elif r < 0.45:
+            # mostly the push of the call's scope, sometimes another scope's
+            i, j = rng.randint(0, 1), rng.choice((0, 1, 1))
+            items += [Event("call", name="m", id=i), items[-1],
+                      Event("push", name="m", id=i if rng.random() < 0.7 else j),
+                      items[-1]]
+        elif r < 0.9:
+            items += [rng.choice(events), items[-1]]
+        else:
+            items.append(rng.choice(states + events))
+    return Trace(items)
+
+
+def test_member_agrees_with_oracle_on_observations_recursion_and_starts():
+    rng = random.Random(151)
+    hits = 0
+    for _ in range(1500):
+        phi = _gen_monitor_formula(rng, rng.randint(1, 3))
+        consts = {"c": rng.choice(_X_VALUES)}
+        t = _gen_monitor_trace(rng, rng.randint(1, 7))
+        got = member(t, phi, consts)
+        assert got == member_oracle(t.items, phi, consts=consts), (t, phi, consts)
+        hits += got
+    assert 150 <= hits <= 1350
+
+
 # --- lattice laws -----------------------------------------------------------------
 
 def test_lattice_laws_random():
@@ -176,25 +281,6 @@ def test_lattice_laws_random():
         assert member(t, Or(f1, f2)) == (member(t, f1) or member(t, f2))
 
 
-def test_mu_iteration_is_monotone_and_bounded():
-    # iteration count is tracked indirectly: the fixpoint of the no-event
-    # encoding on an n-item trace needs at most n rounds and never shrinks
-    t = Trace([S0] * 6)
-    phi = noev_mu_encoding(frozenset())
-    d = fm._Denoter(t, {})
-    seen = []
-    current = frozenset()
-    while True:
-        nxt = d.denote(phi.body, {}, {"X": current})
-        assert current <= nxt
-        if nxt == current:
-            break
-        seen.append(nxt)
-        current = nxt
-    assert len(seen) <= len(t)
-    assert (0, len(t) - 1) in current
-
-
 # --- observation quantifier ---------------------------------------------------------
 
 def test_obs_semantics_bind_first_state():
@@ -205,7 +291,7 @@ def test_obs_semantics_bind_first_state():
         t = Trace([State({"x": x_val})] +
                   list(gen_trace(rng, max_len=5).items))
         lhs = member(t, Obs("x", "y", body))
-        rhs = member(t, body, {"y": ("x", t.first())})
+        rhs = member(t, subst_terms(body, {"y": TLit(t.first().get("x"))}))
         assert lhs == rhs
 
 
@@ -325,8 +411,8 @@ def test_included_unknown_on_open_formulas():
 def _assert_counterexample(verdict, lhs, rhs):
     assert verdict.status == "counterexample"
     consts = dict(verdict.valuation)
-    assert member(verdict.counterexample, lhs, {}, consts)
-    assert not member(verdict.counterexample, rhs, {}, consts)
+    assert member(verdict.counterexample, lhs, consts)
+    assert not member(verdict.counterexample, rhs, consts)
 
 
 def test_included_tells_two_constants_apart():
@@ -404,6 +490,9 @@ def test_included_unknown_outside_the_right_linear_fragment():
     phi = Mu("X", Or(Pred(TLit(True)), Concat(RecVar("X"), Pred(TLit(True)))))
     verdict = included(phi, ANY)
     assert verdict.status == "unknown" and "right-linear" in verdict.detail
+    # membership runs the same automaton, so it refuses the formula too
+    with pytest.raises(fm.FormulaError, match="right-linear"):
+        member(singleton(S0), phi)
 
 
 def test_included_decides_right_linear_recursion():
